@@ -1,6 +1,8 @@
 """Command-line front end: train, detect, eval, inject, bench.
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
+Exit codes: 0 success, 2 usage error, 3 data error (also non-finite input
+values, or a model.ckpt that does not match config.json), 4 numeric failure
+(also non-finite detect scores, in which case no scores CSV is written).
 Every run directory is self-describing: config.json plus the seed are
 enough to reproduce outputs bit-for-bit.
 """
@@ -111,7 +113,10 @@ def cmd_train(data_path, out_dir, seed, epochs, lr, batch, lam, hidden, layers,
 
 
 def load_run(run_dir):
-    """Rebuild a trained model from a run directory (config.json + model.ckpt)."""
+    """Rebuild a trained model from a run directory (config.json + model.ckpt).
+
+    Raises CheckpointError when the checkpoint's config block, tensor names
+    or tensor shapes do not match config.json."""
     cfg_path = os.path.join(run_dir, "config.json")
     ckpt_path = os.path.join(run_dir, "model.ckpt")
     if not os.path.exists(cfg_path) or not os.path.exists(ckpt_path):
@@ -120,8 +125,15 @@ def load_run(run_dir):
         run_cfg = json.load(f)
     config = CoopConfig.from_dict(run_cfg["model"])
     model = CoopModel(config, seed=run_cfg["train"]["seed"])
-    _, tensors = load_checkpoint(ckpt_path)
-    model.load_tensors(tensors)
+    block, tensors = load_checkpoint(ckpt_path)
+    if block != model.config_block():
+        raise CheckpointError(
+            f"{ckpt_path}: config block (T, P, H, K, layers, lam) = {block} "
+            f"does not match config.json {model.config_block()}")
+    try:
+        model.load_tensors(tensors)
+    except (KeyError, ValueError) as e:
+        raise CheckpointError(f"{ckpt_path}: {e}") from e
     model.hard_threshold = run_cfg.get("hard_threshold")
     return model, run_cfg
 
@@ -146,6 +158,10 @@ def cmd_detect(run_dir, data_path, out_path, scoring, split):
         _fail(EXIT_DATA, e)
     except FloatingPointError as e:
         _fail(EXIT_NUMERIC, e)
+    bad = np.flatnonzero(~np.isfinite(result.scores) | ~np.isfinite(result.smoothed))
+    if bad.size:
+        _fail(EXIT_NUMERIC, f"{bad.size} non-finite scores (first at test index "
+                            f"{bad[0]}); no scores written")
     score.write_scores_csv(out_path, result)
     click.echo(f"wrote {len(result.scores)} scores to {out_path}")
 

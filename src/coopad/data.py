@@ -50,6 +50,15 @@ class PeriodEstimate:
 _UCR_NAME = re.compile(r"_(\d+)_(\d+)_(\d+)\.(txt|csv|tsv|dat)$", re.IGNORECASE)
 
 
+def _finite(values, source):
+    """values, or a DataError naming the first NaN/inf and its 0-based index."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = int(bad[0])
+        raise DataError(f"{source}: non-finite value {values[i]} at index {i}")
+    return values
+
+
 def load_ucr(path):
     """Load a UCR/KDD21-style file: one value per line, metadata in the
     filename suffix ``..._<split>_<anomStart>_<anomEnd>.txt`` (0-based,
@@ -72,7 +81,7 @@ def load_ucr(path):
                     raise DataError(f"{base}: unparseable value at line {lineno}: {tok!r}")
     if not values:
         raise DataError(f"{base}: empty file")
-    values = np.asarray(values, dtype=np.float64)
+    values = _finite(np.asarray(values, dtype=np.float64), base)
     n = len(values)
     if not 0 < split < n:
         raise DataError(f"{base}: split {split} out of range for length {n}")
@@ -108,7 +117,7 @@ def load_csv(path, value_col="value", label_col="label", split=None):
                 raise DataError(f"{path}: bad row at line {lineno}: {line!r}")
     if not values:
         raise DataError(f"{path}: no data rows")
-    values = np.asarray(values, dtype=np.float64)
+    values = _finite(np.asarray(values, dtype=np.float64), path)
     n = len(values)
     if split is None:
         split = n // 2
@@ -130,12 +139,6 @@ def zscore(values, stats):
     if stats.std < 1e-8:
         return np.zeros_like(values)
     return (values - stats.mean) / stats.std
-
-
-def inverse_zscore(values, stats):
-    if stats.std < 1e-8:
-        return np.full_like(np.asarray(values, dtype=np.float64), stats.mean)
-    return np.asarray(values) * stats.std + stats.mean
 
 
 def estimate_period(train_values, max_lag=None):

@@ -9,7 +9,6 @@ from 1 at the boundary to 0 at distance buffer+1.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,8 +140,8 @@ def vus_pr(scores, labels, max_buffer=None, steps=11):
         return range_auc_pr(scores, labels, buffer=0.0)
     buffers = np.linspace(0.0, max_buffer, steps)
     values = np.array([range_auc_pr(scores, labels, buffer=b) for b in buffers])
-    trapezoid = getattr(np, "trapezoid", np.trapz)
-    return float(trapezoid(values, buffers) / max_buffer)
+    area = (np.diff(buffers) * (values[1:] + values[:-1]) / 2.0).sum()
+    return float(area / max_buffer)
 
 
 def select_peaks(scores, k, exclusion=100):
@@ -197,9 +196,3 @@ def aggregate_reports(reports):
         if vals:
             out[key] = float(np.mean(vals))
     return out
-
-
-def write_report_json(path, report, dataset=""):
-    with open(path, "w") as f:
-        json.dump(report.to_dict(dataset), f, indent=2, sort_keys=True)
-        f.write("\n")

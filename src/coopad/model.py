@@ -2,10 +2,13 @@
 soft-masked reconstruction autoencoder, plus residual classification.
 
 Forward and backward are written by hand over the numerics module. All
-sequence tensors are (N patches, B windows, dim). Ablation behavior (masking
-strategy, classification granularity, branch fusion, scoring) is selected by
-config flags; the default configuration is soft masking, patch granularity,
-max fusion, joint scoring.
+sequence tensors are (N patches, B windows, dim). A window and its
+reconstruction go through one encode path (`_encode`/`_encode_backward`):
+the residual pass re-encodes the reconstruction with the same time and
+frequency encoders. The analysis window is always boxcar. Ablation behavior
+is selected by four config flags: masking strategy, classification
+granularity, branch fusion and scoring; the default configuration is soft
+masking, patch granularity, max fusion, joint scoring.
 """
 
 from __future__ import annotations
@@ -32,13 +35,11 @@ class CoopConfig:
     layers: int = 3
     lam: float = 10.0
     frame_len: int = 8
-    window_kind: str = "boxcar"
     masking: str = "soft"
     granularity: str = "patch"
     fusion: str = "max"
     scoring: str = "joint"
     random_mask_rate: float = 0.25
-    share_residual_encoders: bool = True
     smooth_window: int = 0  # 0 -> use P
 
     def __post_init__(self):
@@ -168,21 +169,7 @@ class CoopModel:
         if c.fusion == "feat_gate":
             t["w_gate"] = uniform_init(rng, c.H, 2 * c.H)
             t["b_gate"] = np.zeros(c.H)
-        if c.share_residual_encoders:
-            self.gru_time_res = self.gru_time
-            self.gru_freq_res = self.gru_freq
-            self._wtp_res = "w_time_patch"
-            self._wfp_res = "w_freq_patch"
-        else:
-            t["w_time_patch_res"] = uniform_init(rng, c.H, c.P)
-            t["w_freq_patch_res"] = uniform_init(rng, c.H, fdim)
-            self.gru_time_res = GruStack(c.H, c.H, c.layers, rng)
-            self.gru_freq_res = GruStack(c.H, c.H, c.layers, rng)
-            t.update(self.gru_time_res.tensors("gru_time_res"))
-            t.update(self.gru_freq_res.tensors("gru_freq_res"))
-            self._wtp_res = "w_time_patch_res"
-            self._wfp_res = "w_freq_patch_res"
-        self.stft_mat = spectral.stft_matrix(c.T, c.frame_len, c.K, c.window_kind)
+        self.stft_mat = spectral.stft_matrix(c.T, c.frame_len, c.K)
         self.hard_threshold = None  # calibrated during training
 
     def num_params(self):
@@ -201,16 +188,7 @@ class CoopModel:
         B = xb.shape[0]
         if xb.shape[1] != c.T:
             raise ValueError(f"window length {xb.shape[1]} != T={c.T}")
-        n, p = c.N, c.P
-        patches_t = xb.reshape(B, n, p).transpose(1, 0, 2)          # (N,B,P)
-        spec = spectral.stft_apply(self.stft_mat, xb, c.K)          # (B,2K,T)
-        fpat = spec.reshape(B, 2 * c.K, n, p).transpose(2, 0, 3, 1) \
-                   .reshape(n, B, p * 2 * c.K)                      # (N,B,2KP)
-
-        u_t = patches_t @ t["w_time_patch"].T
-        ht_tilde, cache_t = self.gru_time.forward(u_t)
-        u_f = fpat @ t["w_freq_patch"].T
-        hf_tilde, cache_f = self.gru_freq.forward(u_f)
+        ht_tilde, hf_tilde, enc = self._encode(xb)
 
         a_t, a_f, a_fused, cls_cache = self._classify(ht_tilde, hf_tilde)
 
@@ -221,7 +199,7 @@ class CoopModel:
             thr = self.hard_threshold
         coeff, grad_through_mask = mask_coefficients(a_fused, c, rng=rng, threshold=thr)
 
-        z = patches_t @ t["w_mask_proj"].T                          # (N,B,H)
+        z = enc["patches"] @ t["w_mask_proj"].T                     # (N,B,H)
         em_cols = t["e_mask"].T[:, None, :]                         # (N,1,H)
         e_m = coeff[..., None] * em_cols + (1.0 - coeff)[..., None] * z
 
@@ -229,15 +207,8 @@ class CoopModel:
         xr_p = r_out @ t["w_out"].T                                 # (N,B,P)
         x_r = xr_p.transpose(1, 0, 2).reshape(B, c.T)
 
-        # residual pass: encode the reconstruction with the branch encoders
-        patches_r = x_r.reshape(B, n, p).transpose(1, 0, 2)
-        spec_r = spectral.stft_apply(self.stft_mat, x_r, c.K)
-        fpat_r = spec_r.reshape(B, 2 * c.K, n, p).transpose(2, 0, 3, 1) \
-                       .reshape(n, B, p * 2 * c.K)
-        u_t2 = patches_r @ t[self._wtp_res].T
-        h_t, cache_t2 = self.gru_time_res.forward(u_t2)
-        u_f2 = fpat_r @ t[self._wfp_res].T
-        h_f, cache_f2 = self.gru_freq_res.forward(u_f2)
+        # residual pass: encode the reconstruction with the same encoders
+        h_t, h_f, enc_r = self._encode(x_r)
         d_t = ht_tilde - h_t
         d_f = hf_tilde - h_f
         a_tr = sigmoid(np.squeeze(d_t @ t["head_resid"].T, axis=-1))
@@ -252,20 +223,34 @@ class CoopModel:
         cache = None
         if keep_cache:
             cache = {
-                "patches_t": patches_t, "fpat": fpat,
-                "cache_t": cache_t, "cache_f": cache_f, "cache_r": cache_r,
-                "cache_t2": cache_t2, "cache_f2": cache_f2,
+                "enc": enc, "enc_r": enc_r, "cache_r": cache_r,
                 "ht_tilde": ht_tilde, "hf_tilde": hf_tilde,
                 "h_t": h_t, "h_f": h_f, "r_out": r_out,
-                "a_t": a_t, "a_f": a_f, "a_fused": a_fused,
                 "cls": cls_cache, "coeff": coeff,
-                "grad_through_mask": grad_through_mask,
-                "z": z, "e_m": e_m, "xr_p": xr_p, "x_r": x_r,
-                "patches_r": patches_r, "fpat_r": fpat_r,
+                "grad_through_mask": grad_through_mask, "z": z,
                 "a_tr": a_tr, "a_fr": a_fr, "take_fr": take_fr,
                 "B": B,
             }
         return ForwardResult(probs=probs, x_r=x_r, e_m=e_m, cache=cache)
+
+    def _encode(self, x):
+        """Time and frequency branch encoders over windows x (B, T).
+
+        Returns (h_t, h_f, cache): top-layer GRU states (N, B, H) of each
+        branch, and what _encode_backward needs.
+        """
+        c = self.config
+        t = self.tensors
+        B = x.shape[0]
+        n, p = c.N, c.P
+        patches = x.reshape(B, n, p).transpose(1, 0, 2)             # (N,B,P)
+        spec = spectral.stft_apply(self.stft_mat, x, c.K)           # (B,2K,T)
+        fpat = spec.reshape(B, 2 * c.K, n, p).transpose(2, 0, 3, 1) \
+                   .reshape(n, B, p * 2 * c.K)                      # (N,B,2KP)
+        h_t, gru_t = self.gru_time.forward(patches @ t["w_time_patch"].T)
+        h_f, gru_f = self.gru_freq.forward(fpat @ t["w_freq_patch"].T)
+        return h_t, h_f, {"patches": patches, "fpat": fpat,
+                          "gru_t": gru_t, "gru_f": gru_f}
 
     def _classify(self, ht_tilde, hf_tilde):
         """Branch heads + fusion. Returns (A_t, A_f, A, cache)."""
@@ -367,17 +352,9 @@ class CoopModel:
         d_hf_tilde = dd_f.copy()
 
         # residual encoders -> gradient w.r.t. the reconstruction
-        du_t2, g_list = self.gru_time_res.backward(cache["cache_t2"], -dd_t)
-        self._add_stack_grads(grads, self.gru_time_res, g_list,
-                              "gru_time" if c.share_residual_encoders else "gru_time_res")
-        grads[self._wtp_res] += np.einsum("nbh,nbp->hp", du_t2, cache["patches_r"])
-        d_xr = (du_t2 @ t[self._wtp_res]).transpose(1, 0, 2).reshape(B, c.T)
-
-        du_f2, g_list = self.gru_freq_res.backward(cache["cache_f2"], -dd_f)
-        self._add_stack_grads(grads, self.gru_freq_res, g_list,
-                              "gru_freq" if c.share_residual_encoders else "gru_freq_res")
-        grads[self._wfp_res] += np.einsum("nbh,nbf->hf", du_f2, cache["fpat_r"])
-        d_fpat_r = du_f2 @ t[self._wfp_res]                     # (N,B,2KP)
+        du_t2, du_f2 = self._encode_backward(cache["enc_r"], -dd_t, -dd_f, grads)
+        d_xr = (du_t2 @ t["w_time_patch"]).transpose(1, 0, 2).reshape(B, c.T)
+        d_fpat_r = du_f2 @ t["w_freq_patch"]                        # (N,B,2KP)
         d_spec_r = d_fpat_r.reshape(n, B, p, 2 * c.K).transpose(1, 3, 0, 2) \
                            .reshape(B, 2 * c.K * c.T)
         d_xr += d_spec_r @ self.stft_mat
@@ -388,7 +365,7 @@ class CoopModel:
         grads["w_out"] += np.einsum("nbp,nbh->ph", d_xrp, cache["r_out"])
         d_rout = d_xrp @ t["w_out"]
         d_em, g_list = self.gru_recon.backward(cache["cache_r"], d_rout)
-        self._add_stack_grads(grads, self.gru_recon, g_list, "gru_recon")
+        self._add_stack_grads(grads, g_list, "gru_recon")
 
         # soft-mask blend
         coeff = cache["coeff"]
@@ -396,7 +373,7 @@ class CoopModel:
         em_cols = t["e_mask"].T[:, None, :]
         grads["e_mask"] += np.einsum("nbh->nh", coeff[..., None] * d_em).T
         d_z = (1.0 - coeff)[..., None] * d_em
-        grads["w_mask_proj"] += np.einsum("nbh,nbp->hp", d_z, cache["patches_t"])
+        grads["w_mask_proj"] += np.einsum("nbh,nbp->hp", d_z, cache["enc"]["patches"])
         if cache["grad_through_mask"]:
             d_a = d_a + ((em_cols - z) * d_em).sum(axis=-1)
 
@@ -430,16 +407,23 @@ class CoopModel:
             d_hf_tilde += self._head_backward(d_af, cls["head_f"], "freq", grads)
 
         # first-pass encoders
-        du_t, g_list = self.gru_time.backward(cache["cache_t"], d_ht_tilde)
-        self._add_stack_grads(grads, self.gru_time, g_list, "gru_time")
-        grads["w_time_patch"] += np.einsum("nbh,nbp->hp", du_t, cache["patches_t"])
-        du_f, g_list = self.gru_freq.backward(cache["cache_f"], d_hf_tilde)
-        self._add_stack_grads(grads, self.gru_freq, g_list, "gru_freq")
-        grads["w_freq_patch"] += np.einsum("nbh,nbf->hf", du_f, cache["fpat"])
+        self._encode_backward(cache["enc"], d_ht_tilde, d_hf_tilde, grads)
         return grads
 
+    def _encode_backward(self, enc, d_h_t, d_h_f, grads):
+        """Backward of _encode: accumulates encoder gradients into grads and
+        returns the gradients w.r.t. the projected inputs (du_t, du_f)."""
+        t = self.tensors
+        du_t, g_list = self.gru_time.backward(enc["gru_t"], d_h_t)
+        self._add_stack_grads(grads, g_list, "gru_time")
+        grads["w_time_patch"] += np.einsum("nbh,nbp->hp", du_t, enc["patches"])
+        du_f, g_list = self.gru_freq.backward(enc["gru_f"], d_h_f)
+        self._add_stack_grads(grads, g_list, "gru_freq")
+        grads["w_freq_patch"] += np.einsum("nbh,nbf->hf", du_f, enc["fpat"])
+        return du_t, du_f
+
     @staticmethod
-    def _add_stack_grads(grads, stack, g_list, prefix):
+    def _add_stack_grads(grads, g_list, prefix):
         for i, g in enumerate(g_list):
             for k, v in g.items():
                 grads[f"{prefix}.l{i}.{k}"] += v
@@ -451,9 +435,22 @@ class CoopModel:
         return (c.T, c.P, c.H, c.K, c.layers, c.lam)
 
     def load_tensors(self, tensors):
-        """Copy loaded values into the live tensors (shapes must match)."""
+        """Copy loaded values into the live tensors.
+
+        The names must match exactly (KeyError otherwise) and each shape must
+        equal the live one, except that a 1-D tensor may arrive as the (1, n)
+        row a checkpoint stores it as (ValueError otherwise). Nothing is
+        copied unless every tensor passes.
+        """
+        missing = sorted(self.tensors.keys() - tensors.keys())
+        extra = sorted(tensors.keys() - self.tensors.keys())
+        if missing or extra:
+            raise KeyError(f"checkpoint tensor names differ: missing {missing}, "
+                           f"extra {extra}")
         for k, live in self.tensors.items():
-            if k not in tensors:
-                raise KeyError(f"checkpoint missing tensor {k}")
-            incoming = tensors[k].reshape(live.shape)
-            live[...] = incoming
+            shape = tensors[k].shape
+            if shape != live.shape and not (live.ndim == 1 and shape == (1, live.size)):
+                raise ValueError(f"checkpoint tensor {k} has shape {shape}, "
+                                 f"model expects {live.shape}")
+        for k, live in self.tensors.items():
+            live[...] = tensors[k].reshape(live.shape)

@@ -1,9 +1,12 @@
-"""Dense numerical substrate: nonlinearities, stacked GRU forward/backward,
+"""Dense numerical substrate: a stable sigmoid, stacked GRU forward/backward,
 Adam updates, and a finite-difference gradient checker.
 
 Everything runs in float64. Sequences are laid out (steps, batch, dim) so the
 recurrence loops over the leading axis and each step is a plain matmul.
 Gate blocks inside the stacked 3H weight matrices are ordered (z, r, n).
+A layer's forward cache holds its inputs, hidden states h, gates z, r, n and
+the recurrent candidate term ghn, one entry per step; backward reads the
+previous state as h[t-1] (zeros at t = 0).
 """
 
 from __future__ import annotations
@@ -11,30 +14,13 @@ from __future__ import annotations
 import numpy as np
 
 
-def matmul(a, b):
-    """Matrix product with explicit shape validation."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul expects 2-D operands, got {a.ndim}-D and {b.ndim}-D")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return a @ b
-
-
 def sigmoid(x):
     """Numerically stable logistic function, output in (0, 1)."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def tanh(x):
-    return np.tanh(np.asarray(x, dtype=np.float64))
+    # exp(-|x|) never overflows; 1/(1+e) for x >= 0 and e/(1+e) below it,
+    # the same expressions a masked two-branch version evaluates
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def uniform_init(rng, rows, cols, fan_in=None):
@@ -128,7 +114,6 @@ def _gru_layer_forward(layer, inputs):
     rs = np.empty((steps, batch, hdim))
     ns = np.empty((steps, batch, hdim))
     ghns = np.empty((steps, batch, hdim))
-    hprev = np.empty((steps, batch, hdim))
     for t in range(steps):
         gx = inputs[t] @ layer.wx.T + layer.bx
         gh = h @ layer.wh.T + layer.bh
@@ -136,11 +121,9 @@ def _gru_layer_forward(layer, inputs):
         r = sigmoid(gx[:, hdim:2 * hdim] + gh[:, hdim:2 * hdim])
         ghn = gh[:, 2 * hdim:]
         n = np.tanh(gx[:, 2 * hdim:] + r * ghn)
-        hprev[t] = h
         h = (1.0 - z) * n + z * h
         hs[t], zs[t], rs[t], ns[t], ghns[t] = h, z, r, n, ghn
-    cache = {"inputs": inputs, "h": hs, "z": zs, "r": rs, "n": ns,
-             "ghn": ghns, "hprev": hprev}
+    cache = {"inputs": inputs, "h": hs, "z": zs, "r": rs, "n": ns, "ghn": ghns}
     return hs, cache
 
 
@@ -156,10 +139,12 @@ def _gru_layer_backward(layer, cache, grad_outputs):
     dbh = np.zeros_like(layer.bh)
     dinputs = np.empty_like(inputs)
     dh_next = np.zeros((batch, hdim))
+    h0 = np.zeros((batch, hdim))
     for t in range(steps - 1, -1, -1):
         dh = grad_outputs[t] + dh_next
         z, r, n = cache["z"][t], cache["r"][t], cache["n"][t]
-        ghn, hprev = cache["ghn"][t], cache["hprev"][t]
+        ghn = cache["ghn"][t]
+        hprev = cache["h"][t - 1] if t > 0 else h0
         dz = dh * (hprev - n)
         dn = dh * (1.0 - z)
         dh_prev = dh * z

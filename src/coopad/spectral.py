@@ -1,9 +1,11 @@
-"""Short-time Fourier features (hop 1, centered, reflect padded) and patching.
+"""Short-time Fourier features (hop 1, centered, reflect padded).
 
 The STFT is materialized as an explicit (2K*T, T) linear operator: row
 (k, t) holds the windowed DFT weights of bin k for the frame centered at t.
 This keeps the transform trivially verifiable against a naive per-frame DFT
-and makes the backward pass a plain transpose product.
+and makes the backward pass a plain transpose product. Cutting the
+spectrogram into per-patch features is part of the model's encode path
+(`CoopModel._encode`), not of this module.
 """
 
 from __future__ import annotations
@@ -80,23 +82,3 @@ def stft(window_values, K, frame_len, window_kind="boxcar"):
     window_values = np.asarray(window_values, dtype=np.float64)
     M = stft_matrix(len(window_values), frame_len, K, window_kind)
     return stft_apply(M, window_values, K)
-
-
-def patch_spectrogram(spec, patch_len):
-    """(2K, T) -> (2K*P, N): column j stacks the spectrogram columns of
-    patch j one after another (column-major flattening)."""
-    channels, T = spec.shape
-    if T % patch_len != 0:
-        raise ValueError(f"T={T} not divisible by patch length {patch_len}")
-    n = T // patch_len
-    # (2K, N, P) -> (N, P, 2K) -> (N, P*2K) -> (2KP, N)
-    return spec.reshape(channels, n, patch_len).transpose(1, 2, 0).reshape(n, patch_len * channels).T
-
-
-def patch_time(window_values, patch_len):
-    """(T,) -> (P, N) non-overlapping patches as columns."""
-    window_values = np.asarray(window_values, dtype=np.float64)
-    T = len(window_values)
-    if T % patch_len != 0:
-        raise ValueError(f"T={T} not divisible by patch length {patch_len}")
-    return window_values.reshape(T // patch_len, patch_len).T

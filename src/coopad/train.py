@@ -71,8 +71,8 @@ def loss_and_grads(model, x_distorted, x_clean, patch_labels, rng=None):
     result = model.forward(x_distorted, rng=rng, training=True, keep_cache=True)
     a_c = result.probs.combined                       # (N, B)
     y = np.asarray(patch_labels, dtype=np.float64).T  # (B, N) in -> (N, B)
+    bce = bce_loss(a_c, y)
     ac = np.clip(a_c, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    bce = float(-(y * np.log(ac) + (1.0 - y) * np.log(1.0 - ac)).mean())
     mse = mse_loss(result.x_r, x_clean)
     lam = model.config.lam
     total = bce + lam * mse

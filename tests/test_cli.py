@@ -1,9 +1,11 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from coopad.checkpoint import load_checkpoint, save_checkpoint
 from coopad.cli import main
 from coopad.data import RawSeries
 from coopad.synth import gen_periodic, write_ucr_file
@@ -129,6 +131,88 @@ class TestDetectEval:
             run_cli(["detect", "--run", run_dir, "--data", dataset["path"],
                      "--out", str(out)])
         assert a.read_bytes() == b.read_bytes()
+
+
+def copy_run(run_dir, tmp_path):
+    out = tmp_path / "run_copy"
+    shutil.copytree(run_dir, out)
+    return out
+
+
+def rewrite_checkpoint(run, edit):
+    """edit(block, tensors) -> (block, tensors), written back to model.ckpt."""
+    path = str(run / "model.ckpt")
+    block, tensors = edit(*load_checkpoint(path))
+    save_checkpoint(path, block, tensors)
+
+
+def detect(run, data_path, out):
+    return CliRunner().invoke(main, ["detect", "--run", str(run), "--data",
+                                     data_path, "--out", str(out)])
+
+
+class TestRunDirChecks:
+    def test_config_block_mismatch(self, dataset, run_dir, tmp_path):
+        run = copy_run(run_dir, tmp_path)
+        cfg = json.loads((run / "config.json").read_text())
+        cfg["model"]["lam"] = 5.0
+        (run / "config.json").write_text(json.dumps(cfg))
+        out = tmp_path / "s.csv"
+        r = detect(run, dataset["path"], out)
+        assert r.exit_code == 3
+        assert "config block" in r.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, edit", [
+        ("w_extra", lambda t: {**t, "w_extra": t["w_out"]}),
+        ("w_out", lambda t: {**t, "w_out": t["w_out"].T}),
+    ], ids=["extra_tensor", "transposed_tensor"])
+    def test_tensor_mismatch(self, dataset, run_dir, tmp_path, name, edit):
+        run = copy_run(run_dir, tmp_path)
+        rewrite_checkpoint(run, lambda block, t: (block, edit(t)))
+        r = detect(run, dataset["path"], tmp_path / "s.csv")
+        assert r.exit_code == 3
+        assert name in r.output
+
+    def test_nan_weight_refuses_to_write_scores(self, dataset, run_dir, tmp_path):
+        run = copy_run(run_dir, tmp_path)
+
+        def poison(block, tensors):
+            tensors["w_out"][0, 0] = np.nan
+            return block, tensors
+        rewrite_checkpoint(run, poison)
+        out = tmp_path / "s.csv"
+        r = detect(run, dataset["path"], out)
+        assert r.exit_code == 4
+        assert "non-finite scores" in r.output
+        assert not out.exists()
+
+    def test_parent_format_config_scores_the_same(self, dataset, run_dir, tmp_path):
+        # config.json written before the window_kind and
+        # share_residual_encoders fields were dropped still loads
+        run = copy_run(run_dir, tmp_path)
+        cfg = json.loads((run / "config.json").read_text())
+        cfg["model"].update(window_kind="boxcar", share_residual_encoders=True)
+        (run / "config.json").write_text(json.dumps(cfg, indent=2, sort_keys=True))
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert detect(run_dir, dataset["path"], a).exit_code == 0
+        assert detect(run, dataset["path"], b).exit_code == 0
+        assert a.read_bytes() == b.read_bytes()
+
+
+class TestNonFiniteData:
+    def test_nan_in_test_region(self, dataset, run_dir, tmp_path):
+        lines = open(dataset["path"]).read().splitlines()
+        lines[1000] = "nan"
+        bad = tmp_path / dataset["path"].rsplit("/", 1)[-1]
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "s.csv"
+        r = detect(run_dir, str(bad), out)
+        assert r.exit_code == 3
+        assert "index 1000" in r.output
+        assert not out.exists()
+        r = CliRunner().invoke(main, train_args({"path": str(bad)}, str(tmp_path / "run")))
+        assert r.exit_code == 3
 
 
 class TestInject:

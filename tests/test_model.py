@@ -188,10 +188,9 @@ class TestForward:
                 res = m.forward(xb, rng=rng)
                 assert np.all(np.isfinite(res.x_r))
         for fusion in ("max", "mean", "feat_add", "feat_gate"):
-            for shared in (True, False):
-                m = small_model(fusion=fusion, share_residual_encoders=shared)
-                res = m.forward(xb)
-                assert np.all(np.isfinite(res.probs.combined))
+            m = small_model(fusion=fusion)
+            res = m.forward(xb)
+            assert np.all(np.isfinite(res.probs.combined))
 
 
 class TestParamsAndPersistence:
@@ -224,19 +223,36 @@ class TestParamsAndPersistence:
         assert np.array_equal(before.x_r, after.x_r)
         assert np.array_equal(before.probs.combined, after.probs.combined)
 
-    def test_load_tensors_keeps_sharing(self, tmp_path):
-        # shared residual encoders must still alias the first-pass stacks
-        m = small_model(seed=11)
-        p = tmp_path / "m.ckpt"
-        save_checkpoint(str(p), m.config_block(), m.tensors)
-        _, tensors = load_checkpoint(str(p))
-        m2 = small_model(seed=12)
-        m2.load_tensors(tensors)
-        assert m2.gru_time_res is m2.gru_time
-        assert np.array_equal(m2.gru_time.layers[0].wx,
-                              m2.gru_time_res.layers[0].wx)
-
     def test_missing_tensor(self):
         m = small_model()
         with pytest.raises(KeyError):
             m.load_tensors({"w_out": m.tensors["w_out"]})
+
+    def test_extra_tensor(self):
+        m = small_model()
+        tensors = {**m.tensors, "w_time_patch_res": m.tensors["w_time_patch"]}
+        with pytest.raises(KeyError, match="w_time_patch_res"):
+            m.load_tensors(tensors)
+
+    def test_transposed_same_size_tensor(self):
+        m = small_model(seed=13)
+        before = {k: v.copy() for k, v in m.tensors.items()}
+        good = {k: v.copy() for k, v in small_model(seed=14).tensors.items()}
+        # (N, H) for an (H, N) matrix; an (n, 1) column for a 1-D bias
+        for name in ("e_mask", "gru_time.l0.bx"):
+            tensors = {**good, name: np.atleast_2d(good[name]).T}
+            with pytest.raises(ValueError, match=name):
+                m.load_tensors(tensors)
+            # a rejected load leaves every live tensor as it was
+            for k, v in m.tensors.items():
+                assert np.array_equal(v, before[k])
+
+
+class TestEncode:
+    def test_residual_pass_reuses_the_encoders(self):
+        # the residual states are the input encoders applied to x_r
+        m = small_model(seed=17)
+        res = m.forward(batch(seed=18), keep_cache=True)
+        h_t, h_f, _ = m._encode(res.x_r)
+        assert np.array_equal(res.cache["h_t"], h_t)
+        assert np.array_equal(res.cache["h_f"], h_f)

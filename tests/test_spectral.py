@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from coopad.model import CoopConfig, CoopModel
 from coopad.spectral import (analysis_window, frame_len_for_period,
-                             patch_spectrogram, patch_time, reflect_index,
-                             stft, stft_apply, stft_matrix)
+                             reflect_index, stft, stft_apply, stft_matrix)
 
 
 def naive_frame_dft(x, center, frame_len, K, window, T):
@@ -152,23 +152,30 @@ class TestStft:
 
 
 class TestPatching:
+    """Patch layout of the features the model's encode path feeds its
+    encoders (CoopModel._encode)."""
+
+    @staticmethod
+    def encode(x, **cfg):
+        model = CoopModel(CoopConfig(**cfg))
+        _, _, enc = model._encode(np.atleast_2d(x))
+        return enc
+
     def test_time_patches(self):
-        out = patch_time(np.arange(8.0), 4)
-        assert out.shape == (4, 2)
-        assert out[:, 0].tolist() == [0, 1, 2, 3]
-        assert out[:, 1].tolist() == [4, 5, 6, 7]
+        enc = self.encode(np.arange(8.0), T=8, P=4, H=2, K=2, layers=1, frame_len=4)
+        out = enc["patches"]  # (N, B, P)
+        assert out.shape == (2, 1, 4)
+        assert out[0, 0].tolist() == [0, 1, 2, 3]
+        assert out[1, 0].tolist() == [4, 5, 6, 7]
 
     def test_spectrogram_patches_oracle(self):
         rng = np.random.default_rng(4)
-        spec = rng.normal(size=(6, 12))  # 2K=6, T=12
-        out = patch_spectrogram(spec, 4)
-        assert out.shape == (24, 3)
-        for j in range(3):  # patch index
-            expected = spec[:, 4 * j:4 * (j + 1)].T.reshape(-1)
-            assert np.array_equal(out[:, j], expected)
-
-    def test_divisibility(self):
-        with pytest.raises(ValueError):
-            patch_time(np.arange(10.0), 4)
-        with pytest.raises(ValueError):
-            patch_spectrogram(np.zeros((4, 10)), 4)
+        K, P, fl = 3, 4, 8
+        xb = rng.normal(size=(2, 12))  # 2K=6, T=12
+        fpat = self.encode(xb, T=12, P=P, H=2, K=K, layers=1, frame_len=fl)["fpat"]
+        assert fpat.shape == (3, 2, 24)
+        for b in range(2):
+            spec = stft(xb[b], K=K, frame_len=fl)
+            for j in range(3):  # patch index
+                expected = spec[:, P * j:P * (j + 1)].T.reshape(-1)
+                assert np.allclose(fpat[j, b], expected, atol=1e-12)

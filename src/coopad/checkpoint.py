@@ -1,9 +1,9 @@
 """Binary parameter checkpoints.
 
 Layout (little-endian): magic b"COOP", format version u32, config block
-(T, P, H, K, layers as u32, lambda as f64), then one record per tensor:
-name length u32, name bytes (utf-8), rows u32, cols u32, rows*cols f64
-values in row-major order. Round-trips are bit-exact.
+(T, P, H, K, layers as u32, lambda as f64), tensor count u32, then one
+record per tensor: name length u32, name bytes (utf-8), rows u32, cols u32,
+rows*cols f64 values in row-major order. Round-trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -44,34 +44,50 @@ def save_checkpoint(path, config_block, tensors):
             f.write(arr.tobytes())
 
 
+def _field_end(data, off, size, what):
+    """Offset just past the `size`-byte field `what` that starts at `off`;
+    CheckpointError when the file ends before the field does."""
+    end = off + size
+    if end > len(data):
+        raise CheckpointError(
+            f"truncated checkpoint: {what} at byte offset {off} needs "
+            f"{size} bytes, the file ends at {len(data)}")
+    return end
+
+
+def _unpack(fmt, data, off, what):
+    """Returns (values, offset after the field)."""
+    end = _field_end(data, off, struct.calcsize(fmt), what)
+    return struct.unpack_from(fmt, data, off), end
+
+
 def load_checkpoint(path):
-    """Returns (config_block, {name: 2-D ndarray})."""
+    """Returns (config_block, {name: 2-D ndarray}).
+
+    Raises CheckpointError for a bad magic or version, a file that ends
+    inside a field (naming the field's byte offset), or trailing bytes.
+    """
     with open(path, "rb") as f:
         data = f.read()
     if data[:4] != MAGIC:
         raise CheckpointError("bad magic, not a checkpoint file")
-    off = 4
-    (version,) = struct.unpack_from("<I", data, off)
-    off += 4
+    (version,), off = _unpack("<I", data, 4, "format version")
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    t, p, hdim, k, layers = struct.unpack_from("<5I", data, off)
-    off += 20
-    (lam,) = struct.unpack_from("<d", data, off)
-    off += 8
-    (count,) = struct.unpack_from("<I", data, off)
-    off += 4
+    (t, p, hdim, k, layers), off = _unpack("<5I", data, off, "config block")
+    (lam,), off = _unpack("<d", data, off, "lambda")
+    (count,), off = _unpack("<I", data, off, "tensor count")
     tensors = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack_from("<I", data, off)
-        off += 4
-        name = data[off:off + nlen].decode("utf-8")
-        off += nlen
-        rows, cols = struct.unpack_from("<II", data, off)
-        off += 8
+    for i in range(count):
+        (nlen,), off = _unpack("<I", data, off, f"tensor {i} name length")
+        end = _field_end(data, off, nlen, f"tensor {i} name")
+        name = data[off:end].decode("utf-8")
+        off = end
+        (rows, cols), off = _unpack("<II", data, off, f"tensor {name} shape")
         n = rows * cols
+        end = _field_end(data, off, 8 * n, f"tensor {name} values")
         arr = np.frombuffer(data, dtype="<f8", count=n, offset=off).reshape(rows, cols)
-        off += 8 * n
+        off = end
         tensors[name] = arr.copy()
     if off != len(data):
         raise CheckpointError("trailing bytes after last tensor record")

@@ -1,7 +1,8 @@
 """Command-line front end: train, detect, eval, inject, bench.
 
 Exit codes: 0 success, 2 usage error, 3 data error (also non-finite input
-values, or a model.ckpt that does not match config.json), 4 numeric failure
+values, a test region shorter than the window, or a model.ckpt that is
+truncated or does not match config.json), 4 numeric failure
 (also non-finite detect scores, in which case no scores CSV is written).
 Every run directory is self-describing: config.json plus the seed are
 enough to reproduce outputs bit-for-bit.
@@ -125,7 +126,10 @@ def load_run(run_dir):
         run_cfg = json.load(f)
     config = CoopConfig.from_dict(run_cfg["model"])
     model = CoopModel(config, seed=run_cfg["train"]["seed"])
-    block, tensors = load_checkpoint(ckpt_path)
+    try:
+        block, tensors = load_checkpoint(ckpt_path)
+    except CheckpointError as e:
+        raise CheckpointError(f"{ckpt_path}: {e}") from e
     if block != model.config_block():
         raise CheckpointError(
             f"{ckpt_path}: config block (T, P, H, K, layers, lam) = {block} "

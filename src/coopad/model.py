@@ -188,7 +188,7 @@ class CoopModel:
         B = xb.shape[0]
         if xb.shape[1] != c.T:
             raise ValueError(f"window length {xb.shape[1]} != T={c.T}")
-        ht_tilde, hf_tilde, enc = self._encode(xb)
+        ht_tilde, hf_tilde, enc = self._encode(xb, keep_cache)
 
         a_t, a_f, a_fused, cls_cache = self._classify(ht_tilde, hf_tilde)
 
@@ -203,12 +203,12 @@ class CoopModel:
         em_cols = t["e_mask"].T[:, None, :]                         # (N,1,H)
         e_m = coeff[..., None] * em_cols + (1.0 - coeff)[..., None] * z
 
-        r_out, cache_r = self.gru_recon.forward(e_m)
+        r_out, cache_r = self.gru_recon.forward(e_m, keep_cache=keep_cache)
         xr_p = r_out @ t["w_out"].T                                 # (N,B,P)
         x_r = xr_p.transpose(1, 0, 2).reshape(B, c.T)
 
         # residual pass: encode the reconstruction with the same encoders
-        h_t, h_f, enc_r = self._encode(x_r)
+        h_t, h_f, enc_r = self._encode(x_r, keep_cache)
         d_t = ht_tilde - h_t
         d_f = hf_tilde - h_f
         a_tr = sigmoid(np.squeeze(d_t @ t["head_resid"].T, axis=-1))
@@ -233,11 +233,12 @@ class CoopModel:
             }
         return ForwardResult(probs=probs, x_r=x_r, e_m=e_m, cache=cache)
 
-    def _encode(self, x):
+    def _encode(self, x, keep_cache=True):
         """Time and frequency branch encoders over windows x (B, T).
 
         Returns (h_t, h_f, cache): top-layer GRU states (N, B, H) of each
-        branch, and what _encode_backward needs.
+        branch, and what _encode_backward needs (GRU caches are None when
+        keep_cache is false).
         """
         c = self.config
         t = self.tensors
@@ -247,8 +248,10 @@ class CoopModel:
         spec = spectral.stft_apply(self.stft_mat, x, c.K)           # (B,2K,T)
         fpat = spec.reshape(B, 2 * c.K, n, p).transpose(2, 0, 3, 1) \
                    .reshape(n, B, p * 2 * c.K)                      # (N,B,2KP)
-        h_t, gru_t = self.gru_time.forward(patches @ t["w_time_patch"].T)
-        h_f, gru_f = self.gru_freq.forward(fpat @ t["w_freq_patch"].T)
+        h_t, gru_t = self.gru_time.forward(patches @ t["w_time_patch"].T,
+                                           keep_cache=keep_cache)
+        h_f, gru_f = self.gru_freq.forward(fpat @ t["w_freq_patch"].T,
+                                           keep_cache=keep_cache)
         return h_t, h_f, {"patches": patches, "fpat": fpat,
                           "gru_t": gru_t, "gru_f": gru_f}
 

@@ -66,7 +66,8 @@ def mse_loss(x_r, x_clean):
 def loss_and_grads(model, x_distorted, x_clean, patch_labels, rng=None):
     """One batch: forward, loss terms, full backward.
 
-    Returns (LossBreakdown, grads, ForwardResult).
+    Returns (LossBreakdown, grads, ForwardResult); the result's backward
+    cache is dropped once backward has used it.
     """
     result = model.forward(x_distorted, rng=rng, training=True, keep_cache=True)
     a_c = result.probs.combined                       # (N, B)
@@ -79,6 +80,9 @@ def loss_and_grads(model, x_distorted, x_clean, patch_labels, rng=None):
     d_ac = (ac - y) / (ac * (1.0 - ac)) / ac.size
     d_xr = lam * 2.0 * (result.x_r - np.atleast_2d(x_clean)) / result.x_r.size
     grads = model.backward(result.cache, d_ac, d_xr)
+    # the caller may hold the result through the next batch, and its
+    # caches are the largest allocation of a training step
+    result.cache = None
     return LossBreakdown(bce=bce, mse=mse, total=total), grads, result
 
 

@@ -72,6 +72,28 @@ def test_truncation_and_trailing(tmp_path):
         load_checkpoint(str(p))
 
 
+# one tensor "gru.l0.wx" (2, 2): a 40-byte header (magic, version, config
+# block, lambda, count), then its name length at 40, name at 44-52, shape at
+# 53-60 and values at 61-92
+@pytest.mark.parametrize("cut, field", [
+    (2, "bad magic"), (6, "format version"), (20, "config block"),
+    (30, "lambda"), (38, "tensor count"), (42, "tensor 0 name length"),
+    (48, "tensor 0 name"), (57, "tensor gru.l0.wx shape"),
+    (73, "tensor gru.l0.wx values"), (92, "tensor gru.l0.wx values"),
+])
+def test_truncation_is_checkpoint_error(tmp_path, cut, field):
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(str(p), CFG, {"gru.l0.wx": np.ones((2, 2))})
+    data = p.read_bytes()
+    assert len(data) == 93
+    p.write_bytes(data[:cut])
+    with pytest.raises(CheckpointError, match=field) as err:
+        load_checkpoint(str(p))
+    if cut > 4:
+        assert f"file ends at {cut}" in str(err.value)
+        assert "offset" in str(err.value)
+
+
 def test_rank3_rejected(tmp_path):
     with pytest.raises(CheckpointError):
         save_checkpoint(str(tmp_path / "m.ckpt"), CFG,

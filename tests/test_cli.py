@@ -200,6 +200,31 @@ class TestRunDirChecks:
         assert a.read_bytes() == b.read_bytes()
 
 
+    def test_truncated_checkpoint(self, dataset, run_dir, tmp_path):
+        run = copy_run(run_dir, tmp_path)
+        ckpt = run / "model.ckpt"
+        ckpt.write_bytes(ckpt.read_bytes()[:-12])
+        out = tmp_path / "s.csv"
+        r = detect(run, dataset["path"], out)
+        assert r.exit_code == 3
+        assert "truncated checkpoint" in r.output
+        assert "Traceback" not in r.output
+        assert not out.exists()
+
+
+class TestShortTestRegion:
+    def test_test_region_shorter_than_window(self, dataset, run_dir, tmp_path):
+        # the run's window is T = 80 (period 20); keep 50 test points
+        values = open(dataset["path"]).read().splitlines()[:850]
+        short = tmp_path / "short_800_810_815.txt"
+        short.write_text("\n".join(values) + "\n")
+        out = tmp_path / "s.csv"
+        r = detect(run_dir, str(short), out)
+        assert r.exit_code == 3
+        assert "window length 80 exceeds region length 50" in r.output
+        assert not out.exists()
+
+
 class TestNonFiniteData:
     def test_nan_in_test_region(self, dataset, run_dir, tmp_path):
         lines = open(dataset["path"]).read().splitlines()

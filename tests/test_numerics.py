@@ -18,6 +18,26 @@ class TestNonlinearities:
         assert np.all((s > 0) & (s < 1))
         assert np.all(np.isfinite(s))
 
+    def test_sigmoid_bytes_match_two_branch_form(self):
+        # the masked form: 1/(1+exp(-x)) for x >= 0, exp(x)/(1+exp(x)) below
+        def two_branch(x):
+            out = np.empty_like(x)
+            pos = x >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            e = np.exp(x[~pos])
+            out[~pos] = e / (1.0 + e)
+            return out
+
+        rng = np.random.default_rng(2)
+        tiny = np.finfo(np.float64).tiny
+        special = np.array([0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, 1e-17,
+                            -1e-17, tiny / 4, -tiny / 4, 5e-324, -5e-324])
+        x = np.concatenate([rng.normal(scale=6.0, size=5000),
+                            rng.uniform(-40, 40, size=5000), special])
+        assert sigmoid(x).tobytes() == two_branch(x).tobytes()
+        nan = sigmoid(np.array([np.nan, 1.0]))
+        assert np.isnan(nan[0]) and nan[1] == two_branch(np.array([1.0]))[0]
+
 
 def scalar_gru_reference(layer, inputs):
     """Per-gate scalar recurrence, no vectorization."""
@@ -80,8 +100,75 @@ class TestGruForward:
         with pytest.raises(ValueError):
             stack.forward(np.zeros((4, 2, 5)))
 
+    def test_no_cache_same_output_bytes(self):
+        rng = np.random.default_rng(15)
+        stack = GruStack(3, 5, layers=3, rng=rng)
+        x = np.random.default_rng(16).normal(size=(9, 4, 3))
+        cached, cache = stack.forward(x)
+        out, none = stack.forward(x, keep_cache=False)
+        assert none is None
+        assert len(cache) == 3
+        assert out.tobytes() == cached.tobytes()
+
+
+def per_step_gru_backward(layer, cache, grad_outputs):
+    """Backprop through one layer with every weight gradient accumulated
+    inside the time loop, one step at a time."""
+    inputs = cache["inputs"]
+    steps, batch, _ = inputs.shape
+    hdim = layer.hidden
+    dwx = np.zeros_like(layer.wx)
+    dwh = np.zeros_like(layer.wh)
+    dbx = np.zeros_like(layer.bx)
+    dbh = np.zeros_like(layer.bh)
+    dinputs = np.empty_like(inputs)
+    dh_next = np.zeros((batch, hdim))
+    h0 = np.zeros((batch, hdim))
+    for t in range(steps - 1, -1, -1):
+        dh = grad_outputs[t] + dh_next
+        z, r, n = cache["z"][t], cache["r"][t], cache["n"][t]
+        ghn = cache["ghn"][t]
+        hprev = cache["h"][t - 1] if t > 0 else h0
+        dz = dh * (hprev - n)
+        dn = dh * (1.0 - z)
+        dh_prev = dh * z
+        dn_pre = dn * (1.0 - n * n)
+        dr = dn_pre * ghn
+        dghn = dn_pre * r
+        dz_pre = dz * z * (1.0 - z)
+        dr_pre = dr * r * (1.0 - r)
+        dgx = np.concatenate([dz_pre, dr_pre, dn_pre], axis=1)
+        dgh = np.concatenate([dz_pre, dr_pre, dghn], axis=1)
+        dwx += dgx.T @ inputs[t]
+        dwh += dgh.T @ hprev
+        dbx += dgx.sum(axis=0)
+        dbh += dgh.sum(axis=0)
+        dinputs[t] = dgx @ layer.wx
+        dh_next = dh_prev + dgh @ layer.wh
+    return dinputs, {"wx": dwx, "wh": dwh, "bx": dbx, "bh": dbh}
+
 
 class TestGruBackward:
+    @pytest.mark.parametrize("steps, batch", [(1, 3), (2, 1), (30, 5)])
+    def test_matches_per_step_oracle(self, steps, batch):
+        rng = np.random.default_rng(17)
+        stack = GruStack(4, 6, layers=2, rng=rng)
+        for layer in stack.layers:
+            layer.bx[:] = rng.normal(size=layer.bx.shape)
+            layer.bh[:] = rng.normal(size=layer.bh.shape)
+        x = np.random.default_rng(18).normal(size=(steps, batch, 4))
+        out, cache = stack.forward(x)
+        d_out = np.random.default_rng(19).normal(size=out.shape)
+        dx, grads = stack.backward(cache, d_out)
+        d = d_out
+        for i in range(1, -1, -1):
+            d, ref = per_step_gru_backward(stack.layers[i], cache[i], d)
+            for k, v in ref.items():
+                scale = np.abs(v).max()
+                assert np.abs(grads[i][k] - v).max() <= 1e-12 * scale, (i, k)
+        assert np.abs(dx - d).max() <= 1e-12 * np.abs(d).max()
+
+
     def test_zero_upstream_zero_grads(self):
         rng = np.random.default_rng(9)
         stack = GruStack(2, 3, layers=2, rng=rng)

@@ -73,6 +73,7 @@ class TestLossAndGrads:
         assert np.isclose(loss.total, loss.bce + m.config.lam * loss.mse,
                           atol=1e-12)
         assert loss.mse == mse_loss(result.x_r, x)
+        assert result.cache is None  # freed once backward has used it
         assert set(grads) == set(m.tensors)
         for k, g in grads.items():
             assert g.shape == m.tensors[k].shape

@@ -65,7 +65,8 @@ def load_checkpoint(path):
     """Returns (config_block, {name: 2-D ndarray}).
 
     Raises CheckpointError for a bad magic or version, a file that ends
-    inside a field (naming the field's byte offset), or trailing bytes.
+    inside a field (naming the field's byte offset), a tensor name that is
+    not UTF-8, or trailing bytes.
     """
     with open(path, "rb") as f:
         data = f.read()
@@ -81,7 +82,11 @@ def load_checkpoint(path):
     for i in range(count):
         (nlen,), off = _unpack("<I", data, off, f"tensor {i} name length")
         end = _field_end(data, off, nlen, f"tensor {i} name")
-        name = data[off:end].decode("utf-8")
+        try:
+            name = data[off:end].decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(
+                f"tensor {i} name at byte offset {off} is not UTF-8") from None
         off = end
         (rows, cols), off = _unpack("<II", data, off, f"tensor {name} shape")
         n = rows * cols

@@ -48,6 +48,9 @@ class PeriodEstimate:
 
 
 _UCR_NAME = re.compile(r"_(\d+)_(\d+)_(\d+)\.(txt|csv|tsv|dat)$", re.IGNORECASE)
+# size hint for one readlines() call in load_ucr: bounds the text and token
+# objects alive at once, which whole-file reading would hold for every line
+_CHUNK_BYTES = 1 << 18
 
 
 def _finite(values, source):
@@ -59,29 +62,48 @@ def _finite(values, source):
     return values
 
 
+def _parse_lines(lines, lineno, source):
+    """float64 values of the tokens in `lines`, whole lines that follow line
+    `lineno` of `source`; a DataError names the first unparseable token and
+    its 1-based line."""
+    tokens = "".join(lines).replace(",", " ").split()
+    try:
+        return np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
+    except ValueError:
+        for i, line in enumerate(lines, start=lineno + 1):
+            for tok in line.replace(",", " ").split():
+                try:
+                    float(tok)
+                except ValueError:
+                    raise DataError(f"{source}: unparseable value at line {i}: {tok!r}") from None
+        raise
+
+
 def load_ucr(path):
     """Load a UCR/KDD21-style file: one value per line, metadata in the
     filename suffix ``..._<split>_<anomStart>_<anomEnd>.txt`` (0-based,
-    inclusive anomaly range)."""
+    inclusive anomaly range).
+
+    Values may also be comma- or whitespace-separated on one line. The file
+    is read as UTF-8 in chunks of whole lines, about _CHUNK_BYTES each, so
+    only one chunk's text and tokens are held at a time."""
     base = os.path.basename(path)
     m = _UCR_NAME.search(base)
     if m is None:
         raise DataError(f"filename does not follow _<split>_<start>_<end> convention: {base}")
     split, astart, aend = int(m.group(1)), int(m.group(2)), int(m.group(3))
-    values = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            for tok in line.replace(",", " ").split():
-                try:
-                    values.append(float(tok))
-                except ValueError:
-                    raise DataError(f"{base}: unparseable value at line {lineno}: {tok!r}")
-    if not values:
+    chunks, lineno = [], 0
+    try:
+        with open(path, encoding="utf-8") as f:
+            while lines := f.readlines(_CHUNK_BYTES):
+                chunks.append(_parse_lines(lines, lineno, base))
+                lineno += len(lines)
+    except UnicodeDecodeError:
+        raise DataError(f"{base}: not UTF-8 text") from None
+    values = np.concatenate(chunks) if chunks else np.empty(0)
+    if not values.size:
         raise DataError(f"{base}: empty file")
-    values = _finite(np.asarray(values, dtype=np.float64), base)
+    values = _finite(values, base)
     n = len(values)
     if not 0 < split < n:
         raise DataError(f"{base}: split {split} out of range for length {n}")
@@ -93,28 +115,31 @@ def load_ucr(path):
 
 
 def load_csv(path, value_col="value", label_col="label", split=None):
-    """Load a CSV with a header row; labels come from label_col if present."""
-    with open(path) as f:
-        header = f.readline().strip()
-        if not header:
-            raise DataError(f"{path}: empty file")
-        cols = [c.strip() for c in header.split(",")]
-        if value_col not in cols:
-            raise DataError(f"{path}: missing column {value_col!r}")
-        vi = cols.index(value_col)
-        li = cols.index(label_col) if label_col in cols else None
-        values, labels = [], []
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            try:
-                values.append(float(parts[vi]))
-                if li is not None:
-                    labels.append(int(float(parts[li])))
-            except (ValueError, IndexError):
-                raise DataError(f"{path}: bad row at line {lineno}: {line!r}")
+    """Load a UTF-8 CSV with a header row; labels come from label_col if present."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            header = f.readline().strip()
+            if not header:
+                raise DataError(f"{path}: empty file")
+            cols = [c.strip() for c in header.split(",")]
+            if value_col not in cols:
+                raise DataError(f"{path}: missing column {value_col!r}")
+            vi = cols.index(value_col)
+            li = cols.index(label_col) if label_col in cols else None
+            values, labels = [], []
+            for lineno, line in enumerate(f, start=2):
+                line = line.strip()
+                if not line:
+                    continue
+                parts = line.split(",")
+                try:
+                    values.append(float(parts[vi]))
+                    if li is not None:
+                        labels.append(int(float(parts[li])))
+                except (ValueError, IndexError):
+                    raise DataError(f"{path}: bad row at line {lineno}: {line!r}")
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not UTF-8 text") from None
     if not values:
         raise DataError(f"{path}: no data rows")
     values = _finite(np.asarray(values, dtype=np.float64), path)
@@ -147,6 +172,13 @@ def estimate_period(train_values, max_lag=None):
     The ACF is computed on the mean-removed series, normalized by lag 0.
     The period is the lag in [2, max_lag] that is a local maximum with the
     highest ACF value; if no local maximum exceeds 0.1, falls back to 64.
+
+    Only lags 0 ... max_lag + 1 are computed, one dot product each, so the
+    cost is O(n * max_lag) rather than the O(n^2) of a full correlation.
+    Each lag is the BLAS dot ``np.correlate(xc, xc, "full")`` computes for
+    it, with the same bits. The one exception is lag 0 at n <= 11, which
+    numpy sums in its own loop; it can differ from 1.0 in the last bits
+    there, while here it is exactly 1.0.
     """
     x = np.asarray(train_values, dtype=np.float64)
     n = len(x)
@@ -159,8 +191,7 @@ def estimate_period(train_values, max_lag=None):
     denom = float(xc @ xc)
     if denom < 1e-12:
         return PeriodEstimate(period=64, acf=np.zeros(max_lag + 1))
-    full = np.correlate(xc, xc, mode="full")[n - 1:]
-    acf = full[: max_lag + 2] / denom
+    acf = np.array([xc[k:] @ xc[:n - k] for k in range(max_lag + 2)]) / denom
     best_lag, best_val = None, 0.1
     for lag in range(2, max_lag + 1):
         if acf[lag] > acf[lag - 1] and acf[lag] >= acf[lag + 1]:

@@ -94,6 +94,17 @@ def test_truncation_is_checkpoint_error(tmp_path, cut, field):
         assert "offset" in str(err.value)
 
 
+def test_non_utf8_name_is_checkpoint_error(tmp_path):
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(str(p), CFG, {"gru.l0.wx": np.ones((2, 2))})
+    data = bytearray(p.read_bytes())
+    data[46] = 0xFF  # the third byte of the name, which starts at 44
+    p.write_bytes(bytes(data))
+    with pytest.raises(CheckpointError,
+                       match="tensor 0 name at byte offset 44 is not UTF-8"):
+        load_checkpoint(str(p))
+
+
 def test_rank3_rejected(tmp_path):
     with pytest.raises(CheckpointError):
         save_checkpoint(str(tmp_path / "m.ckpt"), CFG,

@@ -199,7 +199,6 @@ class TestRunDirChecks:
         assert detect(run, dataset["path"], b).exit_code == 0
         assert a.read_bytes() == b.read_bytes()
 
-
     def test_truncated_checkpoint(self, dataset, run_dir, tmp_path):
         run = copy_run(run_dir, tmp_path)
         ckpt = run / "model.ckpt"
@@ -208,6 +207,19 @@ class TestRunDirChecks:
         r = detect(run, dataset["path"], out)
         assert r.exit_code == 3
         assert "truncated checkpoint" in r.output
+        assert "Traceback" not in r.output
+        assert not out.exists()
+
+    def test_non_utf8_tensor_name(self, dataset, run_dir, tmp_path):
+        run = copy_run(run_dir, tmp_path)
+        ckpt = run / "model.ckpt"
+        data = bytearray(ckpt.read_bytes())
+        data[44] = 0xFF  # first byte of the first tensor's name
+        ckpt.write_bytes(bytes(data))
+        out = tmp_path / "s.csv"
+        r = detect(run, dataset["path"], out)
+        assert r.exit_code == 3
+        assert "tensor 0 name at byte offset 44 is not UTF-8" in r.output
         assert "Traceback" not in r.output
         assert not out.exists()
 
@@ -238,6 +250,24 @@ class TestNonFiniteData:
         assert not out.exists()
         r = CliRunner().invoke(main, train_args({"path": str(bad)}, str(tmp_path / "run")))
         assert r.exit_code == 3
+
+
+class TestNotUtf8Data:
+    def test_train_and_detect_exit_3(self, dataset, run_dir, tmp_path):
+        raw = bytearray(open(dataset["path"], "rb").read())
+        raw[raw.index(b"\n", len(raw) // 2) + 1] = 0xFF
+        bad = tmp_path / dataset["path"].rsplit("/", 1)[-1]
+        bad.write_bytes(bytes(raw))
+        out = tmp_path / "s.csv"
+        r = detect(run_dir, str(bad), out)
+        assert r.exit_code == 3
+        assert "not UTF-8 text" in r.output
+        assert "Traceback" not in r.output
+        assert not out.exists()
+        r = CliRunner().invoke(main, train_args({"path": str(bad)}, str(tmp_path / "run")))
+        assert r.exit_code == 3
+        assert "not UTF-8 text" in r.output
+        assert "Traceback" not in r.output
 
 
 class TestInject:

@@ -1,9 +1,76 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coopad.data import (DataError, NormalizationStats, estimate_period,
-                         load_csv, load_ucr, make_windows, read_manifest,
-                         train_stats, window_origins, zscore)
+from coopad.data import (_CHUNK_BYTES, DataError, NormalizationStats,
+                         estimate_period, load_csv, load_ucr, make_windows,
+                         read_manifest, train_stats, window_origins, zscore)
+
+
+def oracle_load_ucr_values(path):
+    """The line-by-line loop load_ucr ran before it parsed chunks."""
+    base = path.rsplit("/", 1)[-1]
+    values = []
+    with open(path) as f:
+        for lineno, line in enumerate(f, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            for tok in line.replace(",", " ").split():
+                try:
+                    values.append(float(tok))
+                except ValueError:
+                    raise DataError(f"{base}: unparseable value at line {lineno}: {tok!r}")
+    return np.asarray(values, dtype=np.float64)
+
+
+def oracle_estimate_period(x, max_lag=None):
+    """(period, acf) from the full O(n^2) correlation estimate_period ran
+    before it computed only the lags it reads."""
+    n = len(x)
+    if max_lag is None:
+        max_lag = min(1000, n // 3)
+    max_lag = max(3, min(max_lag, n - 2))
+    xc = x - x.mean()
+    denom = float(xc @ xc)
+    full = np.correlate(xc, xc, mode="full")[n - 1:]
+    acf = full[: max_lag + 2] / denom
+    best_lag, best_val = None, 0.1
+    for lag in range(2, max_lag + 1):
+        if acf[lag] > acf[lag - 1] and acf[lag] >= acf[lag + 1]:
+            if acf[lag] > best_val:
+                best_lag, best_val = lag, acf[lag]
+    return (64 if best_lag is None else best_lag), acf[: max_lag + 1]
+
+
+def assert_acf_matches(got, want, n):
+    """got == want byte for byte, except lag 0 when n <= 11: numpy's correlate
+    sums kernels of up to 11 points in its own loop rather than BLAS, so its
+    lag 0 can differ from xc @ xc in the last bits, while estimate_period's
+    lag 0 is denom / denom, exactly 1. The period search never reads lag 0."""
+    if n <= 11:
+        assert got[0] == 1.0 and abs(want[0] - 1.0) <= 1e-15
+        got, want = got[1:], want[1:]
+    assert got.tobytes() == want.tobytes()
+
+
+def big_ucr_text(lines):
+    """Text of `lines` values, one per line, that mixes blank lines, CRLF line
+    ends, comma- and whitespace-separated rows and no final newline."""
+    rng = np.random.default_rng(3)
+    vals = rng.normal(0, 100, size=lines).tolist()
+    rows = []
+    for i, v in enumerate(vals):
+        if i % 997 == 0:
+            rows.append("")
+        if i % 501 == 0:
+            rows.append(f"{v!r}, {-v!r},{v / 3!r}\t{v * 7:.3e}")
+        else:
+            rows.append(repr(v))
+    text = "\n".join(rows)
+    head, tail = text[: len(text) // 2], text[len(text) // 2:]
+    return head.replace("\n", "\r\n") + tail
 
 
 class TestLoadUcr:
@@ -49,6 +116,36 @@ class TestLoadUcr:
         with pytest.raises(DataError):
             load_ucr(str(p))
 
+    def test_chunks_parse_like_the_line_loop(self, tmp_path):
+        p = tmp_path / "big_100_200_300.txt"
+        p.write_bytes(big_ucr_text(60_000).encode())
+        assert p.stat().st_size > 3 * _CHUNK_BYTES
+        assert not p.read_bytes().endswith(b"\n")
+        assert b"\r\n" in p.read_bytes() and b"\n\n" in p.read_bytes()
+        want = oracle_load_ucr_values(str(p))
+        assert len(want) > 60_000
+        assert load_ucr(str(p)).values.tobytes() == want.tobytes()
+
+    def test_bad_token_in_third_chunk_names_its_line(self, tmp_path):
+        p = tmp_path / "big_100_200_300.txt"
+        text = big_ucr_text(60_000)
+        # a line ~2.4 chunks in (CRLF reads as one character): past chunk 2,
+        # which ends within a line of 2 * _CHUNK_BYTES characters
+        at = text.index("\n", 5 * _CHUNK_BYTES // 2) + 1
+        p.write_text(text[:at] + "1.0 12x4," + text[at:], newline="")
+        with pytest.raises(DataError) as want:
+            oracle_load_ucr_values(str(p))
+        assert "'12x4'" in str(want.value)
+        with pytest.raises(DataError) as got:
+            load_ucr(str(p))
+        assert str(got.value) == str(want.value)
+
+    def test_whitespace_only_is_empty(self, tmp_path):
+        p = tmp_path / "x_2_3_3.txt"
+        p.write_text("\n  \r\n\t\n \n")
+        with pytest.raises(DataError, match="empty file"):
+            load_ucr(str(p))
+
 
 class TestLoadCsv:
     def test_with_labels(self, tmp_path):
@@ -75,6 +172,17 @@ class TestLoadCsv:
         p.write_text("a,b\n1,2\n")
         with pytest.raises(DataError):
             load_csv(str(p))
+
+
+@pytest.mark.parametrize("name, load, body", [
+    ("x_2_3_3.txt", load_ucr, b"1.0\n2.0\n3.\xff\n4.0\n"),
+    ("s.csv", load_csv, b"value\n1.0\n2.0\n3.\xff\n4.0\n"),
+], ids=["ucr", "csv"])
+def test_not_utf8_is_data_error(tmp_path, name, load, body):
+    p = tmp_path / name
+    p.write_bytes(body)
+    with pytest.raises(DataError, match="not UTF-8 text"):
+        load(str(p))
 
 
 class TestNormalization:
@@ -128,6 +236,34 @@ class TestPeriodEstimation:
     def test_too_short(self):
         with pytest.raises(DataError):
             estimate_period(np.ones(4))
+
+    @pytest.mark.parametrize("n", [8, 9, 50, 3001, 10_000])
+    # max_lag 6 stops one lag short of the period-7 peak, so lag 7 decides
+    # whether lag 6 is a local maximum
+    @pytest.mark.parametrize("max_lag", [None, 6, "n", 1],
+                             ids=["default", "explicit", "clamp_n-2", "clamp_3"])
+    @pytest.mark.parametrize("kind", ["noise", "periodic"])
+    def test_acf_bytes_match_full_correlation(self, n, max_lag, kind):
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=n)
+        if kind == "periodic":
+            x += 3.0 * np.sin(2 * np.pi * np.arange(n) / 7)
+        lag = n if max_lag == "n" else max_lag
+        want_period, want_acf = oracle_estimate_period(x, lag)
+        got = estimate_period(x, lag)
+        assert_acf_matches(got.acf, want_acf, n)
+        assert got.period == want_period
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(8, 4000), max_lag=st.none() | st.integers(0, 5000),
+           seed=st.integers(0, 2**32 - 1), period=st.integers(2, 400))
+    def test_acf_property(self, n, max_lag, seed, period):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=n) + np.sin(2 * np.pi * np.arange(n) / period)
+        want_period, want_acf = oracle_estimate_period(x, max_lag)
+        got = estimate_period(x, max_lag)
+        assert_acf_matches(got.acf, want_acf, n)
+        assert got.period == want_period
 
 
 class TestWindowing:

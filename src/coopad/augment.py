@@ -39,7 +39,7 @@ def uniform_replacement(segment, rng):
     return np.full_like(segment, value), {"value": value}
 
 
-def mirror_flip(segment, axis, rng=None):
+def mirror_flip(segment, axis):
     """axis='y': reverse order; axis='x': reflect values around the segment mean."""
     if axis == "y":
         return segment[::-1].copy(), {"axis": "y"}
@@ -49,7 +49,7 @@ def mirror_flip(segment, axis, rng=None):
     raise ValueError(f"unknown flip axis {axis!r}")
 
 
-def length_scale(segment, factor, rng=None):
+def length_scale(segment, factor):
     """Resample the segment by `factor` via linear interpolation, then crop
     (factor > 1) or tile (factor < 1) back to the original length."""
     n = len(segment)

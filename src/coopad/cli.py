@@ -1,8 +1,10 @@
 """Command-line front end: train, detect, eval, inject, bench.
 
-Exit codes: 0 success, 2 usage error, 3 data error (also non-finite input
-values, a test region shorter than the window, or a model.ckpt that is
-truncated or does not match config.json), 4 numeric failure
+Exit codes: 0 success, 2 usage error (also a train hyperparameter out of
+range, or more --freq-bins than the period's STFT frame has), 3 data error
+(also non-finite input values, a test region shorter than the window, a
+config.json that is not valid JSON or lacks a field, or a model.ckpt that
+is truncated or does not match config.json), 4 numeric failure
 (also non-finite detect scores, in which case no scores CSV is written).
 Every run directory is self-describing: config.json plus the seed are
 enough to reproduce outputs bit-for-bit.
@@ -48,22 +50,22 @@ def main():
 @main.command("train")
 @click.option("--data", "data_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_dir", required=True, type=click.Path())
-@click.option("--seed", default=0, show_default=True)
-@click.option("--epochs", default=300, show_default=True)
-@click.option("--lr", default=0.002, show_default=True)
-@click.option("--batch", default=128, show_default=True)
-@click.option("--lam", default=10.0, show_default=True)
-@click.option("--hidden", default=24, show_default=True)
-@click.option("--layers", default=3, show_default=True)
-@click.option("--patch", default=8, show_default=True)
-@click.option("--freq-bins", default=4, show_default=True)
+@click.option("--seed", default=0, type=click.IntRange(min=0), show_default=True)
+@click.option("--epochs", default=300, type=click.IntRange(min=0), show_default=True)
+@click.option("--lr", default=0.002, type=click.FloatRange(min=0, min_open=True), show_default=True)
+@click.option("--batch", default=128, type=click.IntRange(min=1), show_default=True)
+@click.option("--lam", default=10.0, type=click.FloatRange(min=0), show_default=True)
+@click.option("--hidden", default=24, type=click.IntRange(min=1), show_default=True)
+@click.option("--layers", default=3, type=click.IntRange(min=1), show_default=True)
+@click.option("--patch", default=8, type=click.IntRange(min=1), show_default=True)
+@click.option("--freq-bins", default=4, type=click.IntRange(min=1), show_default=True)
 @click.option("--masking", default="soft", type=click.Choice(["soft", "hard", "random", "grating"]), show_default=True)
 @click.option("--granularity", default="patch", type=click.Choice(["patch", "step", "window"]), show_default=True)
 @click.option("--fusion", default="max", type=click.Choice(["max", "mean", "feat_add", "feat_gate"]), show_default=True)
 @click.option("--scoring", default="joint", type=click.Choice(["joint", "recon_only", "class_only"]), show_default=True)
 @click.option("--exclude-kind", "exclude_kinds", multiple=True,
               type=click.Choice(augment.KINDS))
-@click.option("--distortion-prob", default=0.9, show_default=True)
+@click.option("--distortion-prob", default=0.9, type=click.FloatRange(0, 1), show_default=True)
 @click.option("--split", default=None, type=int, help="CSV train/test split index")
 def cmd_train(data_path, out_dir, seed, epochs, lr, batch, lam, hidden, layers,
               patch, freq_bins, masking, granularity, fusion, scoring,
@@ -78,7 +80,10 @@ def cmd_train(data_path, out_dir, seed, epochs, lr, batch, lam, hidden, layers,
             period, P=patch, H=hidden, K=freq_bins, layers=layers, lam=lam,
             masking=masking, granularity=granularity, fusion=fusion,
             scoring=scoring)
-        model = CoopModel(config, seed=seed)
+        try:
+            model = CoopModel(config, seed=seed)
+        except ValueError as e:  # the flags' ranges hold; K <= frame_len/2 + 1 is left
+            raise click.BadParameter(f"{e} (period {period})", param_hint="'--freq-bins'") from None
         tcfg = TrainConfig(lr=lr, epochs=epochs, batch=batch, seed=seed,
                            distortion_prob=distortion_prob,
                            exclude_kinds=tuple(exclude_kinds))
@@ -116,16 +121,24 @@ def cmd_train(data_path, out_dir, seed, epochs, lr, batch, lam, hidden, layers,
 def load_run(run_dir):
     """Rebuild a trained model from a run directory (config.json + model.ckpt).
 
-    Raises CheckpointError when the checkpoint's config block, tensor names
-    or tensor shapes do not match config.json."""
+    Returns (model, train-region NormalizationStats). Raises CheckpointError
+    when config.json is not valid JSON, lacks a field or holds a bad value,
+    or the checkpoint's config block, tensor names or shapes do not match it."""
     cfg_path = os.path.join(run_dir, "config.json")
     ckpt_path = os.path.join(run_dir, "model.ckpt")
     if not os.path.exists(cfg_path) or not os.path.exists(ckpt_path):
         raise DataError(f"{run_dir}: missing config.json or model.ckpt")
-    with open(cfg_path) as f:
-        run_cfg = json.load(f)
-    config = CoopConfig.from_dict(run_cfg["model"])
-    model = CoopModel(config, seed=run_cfg["train"]["seed"])
+    try:
+        with open(cfg_path, encoding="utf-8") as f:
+            run_cfg = json.load(f)
+        config = CoopConfig.from_dict(run_cfg["model"])
+        model = CoopModel(config, seed=run_cfg["train"]["seed"])
+        stats = NormalizationStats(float(run_cfg["data"]["norm_mean"]),
+                                   float(run_cfg["data"]["norm_std"]))
+    except KeyError as e:
+        raise CheckpointError(f"{cfg_path}: missing field {e}") from e
+    except (ValueError, TypeError) as e:
+        raise CheckpointError(f"{cfg_path}: {e}") from e
     try:
         block, tensors = load_checkpoint(ckpt_path)
     except CheckpointError as e:
@@ -139,7 +152,7 @@ def load_run(run_dir):
     except (KeyError, ValueError) as e:
         raise CheckpointError(f"{ckpt_path}: {e}") from e
     model.hard_threshold = run_cfg.get("hard_threshold")
-    return model, run_cfg
+    return model, stats
 
 
 @main.command("detect")
@@ -152,10 +165,8 @@ def load_run(run_dir):
 def cmd_detect(run_dir, data_path, out_path, scoring, split):
     """Score the test region of a dataset; writes a scores CSV."""
     try:
-        model, run_cfg = load_run(run_dir)
+        model, stats = load_run(run_dir)
         series = _load_series(data_path, split)
-        stats = NormalizationStats(run_cfg["data"]["norm_mean"],
-                                   run_cfg["data"]["norm_std"])
         test = zscore(series.values, stats)[series.split:]
         result = score.detect(test, model, scoring=scoring)
     except (DataError, CheckpointError) as e:

@@ -114,18 +114,19 @@ def load_ucr(path):
     return RawSeries(values=values, name=base, split=split, labels=labels)
 
 
-def load_csv(path, value_col="value", label_col="label", split=None):
-    """Load a UTF-8 CSV with a header row; labels come from label_col if present."""
+def load_csv(path, split=None):
+    """Load a UTF-8 CSV whose header names a ``value`` column and, optionally,
+    a 0/1 ``label`` column; the train/test split defaults to half the rows."""
     try:
         with open(path, encoding="utf-8") as f:
             header = f.readline().strip()
             if not header:
                 raise DataError(f"{path}: empty file")
             cols = [c.strip() for c in header.split(",")]
-            if value_col not in cols:
-                raise DataError(f"{path}: missing column {value_col!r}")
-            vi = cols.index(value_col)
-            li = cols.index(label_col) if label_col in cols else None
+            if "value" not in cols:
+                raise DataError(f"{path}: missing column 'value'")
+            vi = cols.index("value")
+            li = cols.index("label") if "label" in cols else None
             values, labels = [], []
             for lineno, line in enumerate(f, start=2):
                 line = line.strip()
@@ -220,9 +221,9 @@ def window_origins(region_len, T, stride, phase=0):
     return np.asarray(origins, dtype=np.int64)
 
 
-def make_windows(values, T, stride, phase=0):
+def make_windows(values, T, stride):
     values = np.asarray(values, dtype=np.float64)
-    origins = window_origins(len(values), T, stride, phase)
+    origins = window_origins(len(values), T, stride)
     windows = np.stack([values[o:o + T] for o in origins])
     return WindowBatch(windows=windows, origins=origins)
 

@@ -13,6 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+VUS_STEPS = 11        # buffer sizes the VUS-PR trapezoid averages over
+TOPK_KS = (1, 3, 5)   # k of the top-k accuracies a report carries
+TOPK_RADIUS = 100     # a peak this close to the anomaly range is a hit
+PEAK_EXCLUSION = 100  # top-k peaks are more than this far apart
+
 
 class MetricError(Exception):
     pass
@@ -130,22 +135,22 @@ def range_auc_pr(scores, labels, buffer=None):
     return float(((recall - prev) * precision).sum())
 
 
-def vus_pr(scores, labels, max_buffer=None, steps=11):
+def vus_pr(scores, labels, max_buffer=None):
     """Trapezoidal average of range_auc_pr over buffer in
-    linspace(0, max_buffer, steps); max_buffer defaults to twice the
-    average anomaly length."""
+    linspace(0, max_buffer, VUS_STEPS); max_buffer defaults to twice the
+    average anomaly length, and max_buffer <= 0 gives plain AUC-PR."""
     if max_buffer is None:
         max_buffer = 2.0 * average_anomaly_length(labels)
-    if steps == 1 or max_buffer <= 0:
+    if max_buffer <= 0:
         return range_auc_pr(scores, labels, buffer=0.0)
-    buffers = np.linspace(0.0, max_buffer, steps)
+    buffers = np.linspace(0.0, max_buffer, VUS_STEPS)
     values = np.array([range_auc_pr(scores, labels, buffer=b) for b in buffers])
     area = (np.diff(buffers) * (values[1:] + values[:-1]) / 2.0).sum()
     return float(area / max_buffer)
 
 
-def select_peaks(scores, k, exclusion=100):
-    """Greedy top peaks by value with a pairwise exclusion radius."""
+def select_peaks(scores, k):
+    """Greedy top k peaks by value, each over PEAK_EXCLUSION from earlier ones."""
     scores = np.asarray(scores, dtype=np.float64)
     masked = scores.copy()
     peaks = []
@@ -154,29 +159,29 @@ def select_peaks(scores, k, exclusion=100):
         if not np.isfinite(masked[i]):
             break
         peaks.append(i)
-        lo = max(0, i - exclusion)
-        masked[lo:i + exclusion + 1] = -np.inf
+        lo = max(0, i - PEAK_EXCLUSION)
+        masked[lo:i + PEAK_EXCLUSION + 1] = -np.inf
         if not np.isfinite(masked).any():
             break
     return peaks
 
 
-def topk_accuracy(scores, anomaly_range, k, radius=100, exclusion=100):
-    """1 if any of the top-k exclusion-separated peaks falls within `radius`
-    of the (single) labeled anomaly range, else 0."""
+def topk_accuracy(scores, anomaly_range, k):
+    """1 if any of the top-k select_peaks peaks falls within TOPK_RADIUS
+    points of the (single) labeled anomaly range, else 0."""
     start, end = anomaly_range
-    for i in select_peaks(scores, k, exclusion):
-        if start - radius <= i <= end + radius:
+    for i in select_peaks(scores, k):
+        if start - TOPK_RADIUS <= i <= end + TOPK_RADIUS:
             return 1
     return 0
 
 
-def evaluate(scores, labels, topk_ks=(1, 3, 5)):
-    """Full report for one dataset; top-k only when there is one anomaly."""
+def evaluate(scores, labels):
+    """Full report for one dataset; top-k (TOPK_KS) only when there is one anomaly."""
     ranges = anomaly_ranges(labels)
     topk = {}
     if len(ranges) == 1:
-        for k in topk_ks:
+        for k in TOPK_KS:
             topk[k] = topk_accuracy(scores, ranges[0], k)
     return MetricsReport(
         f1=standard_f1(scores, labels),
@@ -189,7 +194,7 @@ def evaluate(scores, labels, topk_ks=(1, 3, 5)):
 
 def aggregate_reports(reports):
     """Mean per metric over a list of report dicts (Table-style summary)."""
-    keys = ["f1", "auc_pr", "r_auc_pr", "vus_pr", "top1", "top3", "top5"]
+    keys = ["f1", "auc_pr", "r_auc_pr", "vus_pr"] + [f"top{k}" for k in TOPK_KS]
     out = {"datasets": len(reports)}
     for key in keys:
         vals = [r[key] for r in reports if key in r and r[key] is not None]

@@ -24,6 +24,7 @@ MASKINGS = ("soft", "hard", "random", "grating")
 GRANULARITIES = ("patch", "step", "window")
 FUSIONS = ("max", "mean", "feat_add", "feat_gate")
 SCORINGS = ("joint", "recon_only", "class_only")
+RANDOM_MASK_RATE = 0.25  # share of patches the "random" masking ablation masks
 
 
 @dataclass
@@ -39,7 +40,6 @@ class CoopConfig:
     granularity: str = "patch"
     fusion: str = "max"
     scoring: str = "joint"
-    random_mask_rate: float = 0.25
     smooth_window: int = 0  # 0 -> use P
 
     def __post_init__(self):
@@ -73,18 +73,10 @@ class CoopConfig:
         """Window = 4 dominant periods rounded up to a patch multiple,
         STFT frame tied to the period."""
         p = overrides.pop("P", 8)
-        t = overrides.pop("T", None)
-        if t is None:
-            t = 4 * period
-            t = ((t + p - 1) // p) * p
-        frame_len = overrides.pop("frame_len", None)
-        if frame_len is None:
-            frame_len = min(spectral.frame_len_for_period(period), t)
-        smooth_window = overrides.pop("smooth_window", None)
-        if smooth_window is None:
-            smooth_window = period + 1  # one period, odd width
-        return cls(T=t, P=p, frame_len=frame_len,
-                   smooth_window=smooth_window, **overrides)
+        t = ((4 * period + p - 1) // p) * p
+        return cls(T=t, P=p, frame_len=min(spectral.frame_len_for_period(period), t),
+                   smooth_window=period + 1,  # one period, odd width
+                   **overrides)
 
 
 @dataclass
@@ -126,11 +118,9 @@ def mask_coefficients(fused_probs, config, rng=None, threshold=None):
         thr = hard_mask_threshold(a) if threshold is None else threshold
         return (a > thr).astype(np.float64), False
     if mode == "random":
-        if config.random_mask_rate <= 0:
-            return np.zeros_like(a), False
         if rng is None:
             rng = np.random.default_rng(0)
-        return (rng.random(a.shape) < config.random_mask_rate).astype(np.float64), False
+        return (rng.random(a.shape) < RANDOM_MASK_RATE).astype(np.float64), False
     if mode == "grating":
         phase = int(rng.integers(2)) if rng is not None else 0
         coeff = np.zeros_like(a)

@@ -188,10 +188,9 @@ def _gru_layer_backward(layer, cache, grad_outputs):
 class AdamState:
     """First/second moment buffers plus step counter for one tensor set."""
 
-    def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    beta1, beta2, eps = 0.9, 0.999, 1e-8  # the same for every tensor set
+
+    def __init__(self, params):
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
@@ -218,14 +217,14 @@ def adam_step(params, grads, state, lr):
         p -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
 
 
-def grad_check(loss_fn, params, analytic_grads, h=1e-5, names=None):
+def grad_check(loss_fn, params, analytic_grads, h=1e-5):
     """Compare analytic gradients against central finite differences.
 
     loss_fn() must be deterministic and read the tensors in `params` by
     reference. Returns {name: max relative error} per tensor.
     """
     report = {}
-    for name in (names if names is not None else params):
+    for name in params:
         p = params[name]
         g = analytic_grads[name]
         worst = 0.0

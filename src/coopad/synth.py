@@ -11,7 +11,7 @@ from .augment import apply_kind
 from .data import RawSeries
 
 
-def gen_periodic(length, period, noise_std, anomalies, seed, name="synthetic"):
+def gen_periodic(length, period, noise_std, anomalies, seed):
     """Sine base + Gaussian noise; each anomaly is (kind, start, end) applied
     via the augment-module distortions. Labels mark the union of intervals."""
     rng = np.random.default_rng(seed)

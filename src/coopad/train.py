@@ -13,6 +13,7 @@ from .data import DataError, window_origins
 from .numerics import AdamState, adam_step
 
 PROB_CLAMP = 1e-7
+GRAD_CLIP = 5.0  # largest global L2 norm of one batch's gradients
 
 
 class NumericError(Exception):
@@ -27,7 +28,6 @@ class TrainConfig:
     seed: int = 0
     distortion_prob: float = 0.9
     exclude_kinds: tuple = ()
-    grad_clip: float = 5.0  # global L2 norm; <= 0 disables
 
     def __post_init__(self):
         if self.lr <= 0 or self.epochs < 0 or self.batch < 1:
@@ -87,8 +87,8 @@ def loss_and_grads(model, x_distorted, x_clean, patch_labels, rng=None):
 
 
 def clip_grads(grads, max_norm):
-    if max_norm <= 0:
-        return
+    """Scale all gradients in place by one factor so that their global L2
+    norm is at most max_norm (training passes GRAD_CLIP)."""
     total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
     if total > max_norm:
         scale = max_norm / total
@@ -127,7 +127,7 @@ def train_epoch(train_values, period, model, tcfg, adam, rng):
             raise NumericError(
                 f"non-finite loss (bce={loss.bce}, mse={loss.mse}) "
                 f"on batch origins {origins[idx].tolist()}")
-        clip_grads(grads, tcfg.grad_clip)
+        clip_grads(grads, GRAD_CLIP)
         adam_step(model.tensors, grads, adam, tcfg.lr)
         sums += (loss.bce, loss.mse, loss.total)
         nb += 1

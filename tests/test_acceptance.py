@@ -149,7 +149,7 @@ def test_03_masking_semantics():
                   and np.array_equal(gcoeff[:, 0], gcoeff[:, 1]))
     # random: Bernoulli at the configured rate, strictly binary
     rcfg = CoopConfig(T=16, P=4, H=3, K=2, layers=1, frame_len=8,
-                      masking="random", random_mask_rate=0.25)
+                      masking="random")
     rcoeff, rflow = mask_coefficients(np.zeros((200, 200)), rcfg,
                                       rng=np.random.default_rng(2))
     ok_random = (rflow is False

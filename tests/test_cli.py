@@ -1,5 +1,6 @@
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,6 +63,25 @@ class TestTrain:
         r = CliRunner().invoke(main, ["train", "--data", "/nope.txt",
                                       "--out", str(tmp_path / "x")])
         assert r.exit_code == 2
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--hidden", "0"), ("--layers", "0"), ("--patch", "0"),
+        ("--freq-bins", "0"), ("--freq-bins", "99"), ("--lam", "-1"),
+        ("--batch", "0"), ("--lr", "0"), ("--epochs", "-1"),
+        ("--distortion-prob", "2"), ("--seed", "-1")])
+    def test_bad_hyperparameter_usage_error(self, dataset, tmp_path, flag, value):
+        out = tmp_path / "run"
+        r = CliRunner().invoke(main, train_args(dataset, str(out), [flag, value]))
+        assert r.exit_code == 2, r.output
+        assert flag in r.output
+        assert not out.exists()
+
+    def test_freq_bins_over_the_period_frame(self, dataset, tmp_path):
+        # period 20 gives frame_len 20, which has 20/2 + 1 = 11 bins
+        r = CliRunner().invoke(main, train_args(dataset, str(tmp_path / "run"),
+                                                ["--freq-bins", "12"]))
+        assert r.exit_code == 2, r.output
+        assert "K=12 exceeds frame_len//2+1=11 (period 20)" in r.output
 
     def test_bad_filename_data_error(self, tmp_path):
         bad = tmp_path / "plain.txt"
@@ -146,6 +166,12 @@ def rewrite_checkpoint(run, edit):
     save_checkpoint(path, block, tensors)
 
 
+def edit_json(text, edit):
+    cfg = json.loads(text)
+    edit(cfg)
+    return json.dumps(cfg)
+
+
 def detect(run, data_path, out):
     return CliRunner().invoke(main, ["detect", "--run", str(run), "--data",
                                      data_path, "--out", str(out)])
@@ -199,6 +225,25 @@ class TestRunDirChecks:
         assert detect(run, dataset["path"], b).exit_code == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda text: text.replace('"model":', '"model"', 1),
+         "Expecting ':' delimiter"),
+        (lambda text: edit_json(text, lambda c: c["data"].pop("norm_std")),
+         "missing field 'norm_std'"),
+        (lambda text: edit_json(text, lambda c: c["model"].update(masking="fuzzy")),
+         "masking must be one of"),
+    ], ids=["invalid_json", "missing_norm_std", "unknown_masking"])
+    def test_malformed_config(self, dataset, run_dir, tmp_path, edit, message):
+        run = copy_run(run_dir, tmp_path)
+        cfg = run / "config.json"
+        cfg.write_text(edit(cfg.read_text()))
+        out = tmp_path / "s.csv"
+        r = detect(run, dataset["path"], out)
+        assert r.exit_code == 3, r.output
+        assert f"config.json: {message}" in r.output
+        assert "Traceback" not in r.output
+        assert not out.exists()
+
     def test_truncated_checkpoint(self, dataset, run_dir, tmp_path):
         run = copy_run(run_dir, tmp_path)
         ckpt = run / "model.ckpt"
@@ -227,7 +272,7 @@ class TestRunDirChecks:
 class TestShortTestRegion:
     def test_test_region_shorter_than_window(self, dataset, run_dir, tmp_path):
         # the run's window is T = 80 (period 20); keep 50 test points
-        values = open(dataset["path"]).read().splitlines()[:850]
+        values = Path(dataset["path"]).read_text().splitlines()[:850]
         short = tmp_path / "short_800_810_815.txt"
         short.write_text("\n".join(values) + "\n")
         out = tmp_path / "s.csv"
@@ -239,7 +284,7 @@ class TestShortTestRegion:
 
 class TestNonFiniteData:
     def test_nan_in_test_region(self, dataset, run_dir, tmp_path):
-        lines = open(dataset["path"]).read().splitlines()
+        lines = Path(dataset["path"]).read_text().splitlines()
         lines[1000] = "nan"
         bad = tmp_path / dataset["path"].rsplit("/", 1)[-1]
         bad.write_text("\n".join(lines) + "\n")
@@ -254,7 +299,7 @@ class TestNonFiniteData:
 
 class TestNotUtf8Data:
     def test_train_and_detect_exit_3(self, dataset, run_dir, tmp_path):
-        raw = bytearray(open(dataset["path"], "rb").read())
+        raw = bytearray(Path(dataset["path"]).read_bytes())
         raw[raw.index(b"\n", len(raw) // 2) + 1] = 0xFF
         bad = tmp_path / dataset["path"].rsplit("/", 1)[-1]
         bad.write_bytes(bytes(raw))

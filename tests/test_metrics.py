@@ -237,7 +237,6 @@ class TestVusPr:
         scores = np.array([0.1, 0.9, 0.2, 0.3])
         labels = np.array([0, 1, 0, 0])
         assert vus_pr(scores, labels, max_buffer=0) == auc_pr(scores, labels)
-        assert vus_pr(scores, labels, steps=1) == auc_pr(scores, labels)
 
     def test_perfect_scorer(self):
         labels = np.zeros(40, dtype=int)

@@ -70,15 +70,12 @@ class TestMasking:
         assert coeff.tolist() == [[0.0, 1.0], [0.0, 1.0]]
 
     def test_random_rate(self):
-        cfg = CoopConfig(**SMALL, masking="random", random_mask_rate=0.25)
+        cfg = CoopConfig(**SMALL, masking="random")
         a = np.zeros((100, 100))
         coeff, flows = mask_coefficients(a, cfg, rng=np.random.default_rng(2))
         assert flows is False
         assert set(np.unique(coeff)) <= {0.0, 1.0}
         assert abs(coeff.mean() - 0.25) < 0.02
-        cfg0 = CoopConfig(**SMALL, masking="random", random_mask_rate=0.0)
-        coeff0, _ = mask_coefficients(a, cfg0, rng=np.random.default_rng(3))
-        assert coeff0.sum() == 0.0
 
     def test_grating_alternates(self):
         cfg = CoopConfig(**SMALL, masking="grating")

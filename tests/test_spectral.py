@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopad.model import CoopConfig, CoopModel
-from coopad.spectral import (analysis_window, frame_len_for_period,
-                             reflect_index, stft, stft_apply, stft_matrix)
+from coopad.spectral import (analysis_window, frame_len_for_period, stft,
+                             stft_apply, stft_matrix)
 
 
 def naive_frame_dft(x, center, frame_len, K, window, T):
@@ -29,19 +31,33 @@ def naive_frame_dft(x, center, frame_len, K, window, T):
     return out
 
 
+def oracle_stft_matrix(T, frame_len, K):
+    """The operator built entry by entry: a Python loop over frames t,
+    offsets j and bins k, reflecting each source index on its own."""
+    w = analysis_window(frame_len)
+    m = np.arange(frame_len)
+    angles = 2.0 * np.pi * np.outer(np.arange(K), m) / frame_len
+    cosw = np.cos(angles) * w
+    sinw = -np.sin(angles) * w
+    M = np.zeros((2 * K * T, T))
+    half = frame_len // 2
+    for t in range(T):
+        for j in range(frame_len):
+            src = t - half + j
+            while src < 0 or src >= T:
+                if src < 0:
+                    src = -src
+                if src >= T:
+                    src = 2 * T - 2 - src
+            for k in range(K):
+                M[k * T + t, src] += cosw[k, j]
+                M[(K + k) * T + t, src] += sinw[k, j]
+    return M
+
+
 class TestAnalysisWindow:
     def test_boxcar(self):
         assert analysis_window(8).tolist() == [1.0] * 8
-
-    def test_hann_endpoints_and_symmetry(self):
-        w = analysis_window(8, "hann")
-        assert w[0] == 0.0
-        assert np.isclose(w[4], 1.0, atol=1e-12)
-        assert np.allclose(w[1:], w[1:][::-1], atol=1e-12)
-
-    def test_unknown(self):
-        with pytest.raises(ValueError):
-            analysis_window(8, "blackman")
 
 
 class TestFrameLen:
@@ -57,23 +73,27 @@ class TestFrameLen:
             assert fl % 2 == 0 and 8 <= fl <= 64
 
 
-class TestReflectIndex:
-    def test_in_range(self):
-        assert reflect_index(3, 10) == 3
+class TestStftMatrix:
+    # T == frame_len (every frame reflects at both edges), K == frame_len/2
+    # + 1 (the Nyquist bin), odd T, and the frame_len-64 operator of a
+    # period-200 window
+    @pytest.mark.parametrize("T, frame_len, K", [
+        (8, 8, 5), (16, 8, 2), (12, 8, 3), (48, 12, 5), (40, 10, 6),
+        (33, 8, 4), (800, 64, 4)])
+    def test_bytes_match_loop_oracle(self, T, frame_len, K):
+        got = stft_matrix(T, frame_len, K)
+        want = oracle_stft_matrix(T, frame_len, K)
+        assert got.shape == want.shape == (2 * K * T, T)
+        assert got.tobytes() == want.tobytes()
 
-    def test_left(self):
-        assert reflect_index(-1, 10) == 1
-        assert reflect_index(-3, 10) == 3
-
-    def test_right(self):
-        assert reflect_index(10, 10) == 8
-        assert reflect_index(12, 10) == 6
-
-    def test_matches_numpy_pad(self):
-        n = 7
-        padded = np.pad(np.arange(n), (n - 1, n - 1), mode="reflect")
-        for idx in range(-(n - 1), 2 * n - 1):
-            assert padded[idx + n - 1] == reflect_index(idx, n)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_bytes_match_loop_oracle_property(self, data):
+        frame_len = 2 * data.draw(st.integers(1, 12), label="frame_len/2")
+        T = data.draw(st.integers(frame_len, 3 * frame_len), label="T")
+        K = data.draw(st.integers(1, frame_len // 2 + 1), label="K")
+        assert stft_matrix(T, frame_len, K).tobytes() == \
+            oracle_stft_matrix(T, frame_len, K).tobytes()
 
 
 class TestStft:
@@ -103,15 +123,14 @@ class TestStft:
 
     def test_matches_naive_dft(self):
         rng = np.random.default_rng(0)
-        for kind in ("boxcar", "hann"):
-            T, fl, K = 48, 12, 5
-            x = rng.normal(size=T)
-            w = analysis_window(fl, kind)
-            spec = stft(x, K=K, frame_len=fl, window_kind=kind)
-            for t in range(T):
-                ref = naive_frame_dft(x, t, fl, K, w, T)
-                col = np.concatenate([spec[:K, t], spec[K:, t]])
-                assert np.allclose(col, ref, atol=1e-9)
+        T, fl, K = 48, 12, 5
+        x = rng.normal(size=T)
+        w = analysis_window(fl)
+        spec = stft(x, K=K, frame_len=fl)
+        for t in range(T):
+            ref = naive_frame_dft(x, t, fl, K, w, T)
+            col = np.concatenate([spec[:K, t], spec[K:, t]])
+            assert np.allclose(col, ref, atol=1e-9)
 
     def test_linearity(self):
         rng = np.random.default_rng(1)

@@ -49,11 +49,6 @@ class TestClipGrads:
         assert np.isclose(total, 6.5, atol=1e-12)
         assert np.isclose(g["a"][1] / g["a"][0], 4.0 / 3.0, atol=1e-12)
 
-    def test_disabled(self):
-        g = {"w": np.array([100.0])}
-        clip_grads(g, 0.0)
-        assert g["w"][0] == 100.0
-
 
 class TestTrainConfig:
     def test_validation(self):

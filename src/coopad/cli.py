@@ -1,11 +1,13 @@
 """Command-line front end: train, detect, eval, inject, bench.
 
-Exit codes: 0 success, 2 usage error (also a train hyperparameter out of
-range, or more --freq-bins than the period's STFT frame has), 3 data error
-(also non-finite input values, a test region shorter than the window, a
-config.json that is not valid JSON or lacks a field, or a model.ckpt that
-is truncated or does not match config.json), 4 numeric failure
-(also non-finite detect scores, in which case no scores CSV is written).
+Exit codes: 0 success, 2 usage error (also a train, inject or bench
+number out of range, or more --freq-bins than the period's STFT frame has),
+3 data error (also non-finite input values, a test region or bench series
+shorter than the window, a config.json that is not valid JSON or lacks a
+field, a model.ckpt that is truncated or does not match config.json, or a
+scores CSV for eval that is not UTF-8, has a wrong header or has a row
+that is not three numbers), 4 numeric failure (also non-finite detect
+scores, in which case no scores CSV is written).
 Every run directory is self-describing: config.json plus the seed are
 enough to reproduce outputs bit-for-bit.
 """
@@ -24,7 +26,8 @@ from . import augment, metrics, score, synth
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .data import (DataError, NormalizationStats, estimate_period, load_csv,
                    load_ucr, read_manifest, train_stats, zscore)
-from .model import CoopConfig, CoopModel
+from .model import (FUSIONS, GRANULARITIES, MASKINGS, SCORINGS, CoopConfig,
+                    CoopModel)
 from .train import NumericError, TrainConfig, fit
 
 EXIT_DATA = 3
@@ -59,10 +62,10 @@ def main():
 @click.option("--layers", default=3, type=click.IntRange(min=1), show_default=True)
 @click.option("--patch", default=8, type=click.IntRange(min=1), show_default=True)
 @click.option("--freq-bins", default=4, type=click.IntRange(min=1), show_default=True)
-@click.option("--masking", default="soft", type=click.Choice(["soft", "hard", "random", "grating"]), show_default=True)
-@click.option("--granularity", default="patch", type=click.Choice(["patch", "step", "window"]), show_default=True)
-@click.option("--fusion", default="max", type=click.Choice(["max", "mean", "feat_add", "feat_gate"]), show_default=True)
-@click.option("--scoring", default="joint", type=click.Choice(["joint", "recon_only", "class_only"]), show_default=True)
+@click.option("--masking", default="soft", type=click.Choice(MASKINGS), show_default=True)
+@click.option("--granularity", default="patch", type=click.Choice(GRANULARITIES), show_default=True)
+@click.option("--fusion", default="max", type=click.Choice(FUSIONS), show_default=True)
+@click.option("--scoring", default="joint", type=click.Choice(SCORINGS), show_default=True)
 @click.option("--exclude-kind", "exclude_kinds", multiple=True,
               type=click.Choice(augment.KINDS))
 @click.option("--distortion-prob", default=0.9, type=click.FloatRange(0, 1), show_default=True)
@@ -159,8 +162,7 @@ def load_run(run_dir):
 @click.option("--run", "run_dir", required=True, type=click.Path(exists=True))
 @click.option("--data", "data_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--scoring", default=None,
-              type=click.Choice(["joint", "recon_only", "class_only"]))
+@click.option("--scoring", default=None, type=click.Choice(SCORINGS))
 @click.option("--split", default=None, type=int)
 def cmd_detect(run_dir, data_path, out_path, scoring, split):
     """Score the test region of a dataset; writes a scores CSV."""
@@ -226,7 +228,7 @@ def cmd_eval(scores_path, data_path, out_path, manifest_path, scores_dir, split)
 @click.option("--data", "data_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--test-kind", required=True, type=click.Choice(augment.KINDS))
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, type=click.IntRange(min=0), show_default=True)
 @click.option("--split", default=None, type=int)
 def cmd_inject(data_path, out_dir, test_kind, seed, split):
     """Replace each labeled test anomaly with a chosen distortion kind;
@@ -255,9 +257,9 @@ def cmd_inject(data_path, out_dir, test_kind, seed, split):
 
 
 @main.command("bench")
-@click.option("--points", default=1_000_000, show_default=True)
-@click.option("--period", default=50, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--points", default=1_000_000, type=click.IntRange(min=1), show_default=True)
+@click.option("--period", default=50, type=click.IntRange(min=1), show_default=True)
+@click.option("--seed", default=0, type=click.IntRange(min=0), show_default=True)
 def cmd_bench(points, period, seed):
     """Measure detect throughput on a generated series at default config."""
     values, _ = synth.gen_periodic(points, period, noise_std=0.05,
@@ -266,7 +268,10 @@ def cmd_bench(points, period, seed):
     model = CoopModel(config, seed=seed)
     n_params = model.num_params()
     t0 = time.perf_counter()
-    result = score.detect(values, model)
+    try:
+        result = score.detect(values, model)
+    except DataError as e:  # fewer points than one window
+        _fail(EXIT_DATA, e)
     elapsed = time.perf_counter() - t0
     throughput = len(result.scores) / elapsed
     click.echo(f"points={points} T={config.T} params={n_params}")

@@ -5,10 +5,16 @@ Forward and backward are written by hand over the numerics module. All
 sequence tensors are (N patches, B windows, dim). A window and its
 reconstruction go through one encode path (`_encode`/`_encode_backward`):
 the residual pass re-encodes the reconstruction with the same time and
-frequency encoders. The analysis window is always boxcar. Ablation behavior
-is selected by four config flags: masking strategy, classification
-granularity, branch fusion and scoring; the default configuration is soft
-masking, patch granularity, max fusion, joint scoring.
+frequency encoders. Both classification stages go through one two-head
+path (`_two_heads`/`_two_heads_backward`): the first on the encoded window,
+the second, with the shared head_resid at patch granularity and max fusion,
+on the difference between the window's and the reconstruction's encodings.
+Either way it yields (A_t, A_f, A) and, under max fusion, which head won.
+A forward with keep_cache=True is a training pass. The analysis window is
+always boxcar. Ablation behavior is selected by four config flags: masking
+strategy, classification granularity, branch fusion and scoring; the
+default configuration is soft masking, patch granularity, max fusion,
+joint scoring.
 """
 
 from __future__ import annotations
@@ -65,6 +71,8 @@ class CoopConfig:
 
     @classmethod
     def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise TypeError(f"model settings must be an object, not {type(d).__name__}")
         known = {k: v for k, v in d.items() if k in cls.__dataclass_fields__}
         return cls(**known)
 
@@ -170,8 +178,12 @@ class CoopModel:
 
     # -- forward ----------------------------------------------------------
 
-    def forward(self, xb, rng=None, training=False, keep_cache=False):
-        """Run the full pipeline on a batch of windows xb (B, T)."""
+    def forward(self, xb, rng=None, keep_cache=False):
+        """Run the full pipeline on a batch of windows xb (B, T).
+
+        keep_cache=True marks a training pass: the result carries what
+        backward needs, and hard masking calibrates its threshold on it.
+        """
         c = self.config
         t = self.tensors
         xb = np.atleast_2d(np.asarray(xb, dtype=np.float64))
@@ -182,12 +194,10 @@ class CoopModel:
 
         a_t, a_f, a_fused, cls_cache = self._classify(ht_tilde, hf_tilde)
 
-        if training and c.masking == "hard":
-            thr = hard_mask_threshold(a_fused)
-            self.hard_threshold = thr
-        else:
-            thr = self.hard_threshold
-        coeff, grad_through_mask = mask_coefficients(a_fused, c, rng=rng, threshold=thr)
+        if keep_cache and c.masking == "hard":
+            self.hard_threshold = hard_mask_threshold(a_fused)
+        coeff, grad_through_mask = mask_coefficients(a_fused, c, rng=rng,
+                                                     threshold=self.hard_threshold)
 
         z = enc["patches"] @ t["w_mask_proj"].T                     # (N,B,H)
         em_cols = t["e_mask"].T[:, None, :]                         # (N,1,H)
@@ -197,14 +207,11 @@ class CoopModel:
         xr_p = r_out @ t["w_out"].T                                 # (N,B,P)
         x_r = xr_p.transpose(1, 0, 2).reshape(B, c.T)
 
-        # residual pass: encode the reconstruction with the same encoders
+        # residual pass: encode the reconstruction with the same encoders,
+        # classify the differences with one shared patch head, max-fused
         h_t, h_f, enc_r = self._encode(x_r, keep_cache)
-        d_t = ht_tilde - h_t
-        d_f = hf_tilde - h_f
-        a_tr = sigmoid(np.squeeze(d_t @ t["head_resid"].T, axis=-1))
-        a_fr = sigmoid(np.squeeze(d_f @ t["head_resid"].T, axis=-1))
-        take_fr = a_fr >= a_tr
-        a_r = np.where(take_fr, a_fr, a_tr)
+        a_tr, a_fr, a_r, resid_cache = self._two_heads(
+            ht_tilde - h_t, hf_tilde - h_f, ("resid", "resid"), "patch", "max")
         a_c = 0.5 * (a_fused + a_r)
 
         probs = PatchProbabilities(time=a_t, freq=a_f, fused=a_fused,
@@ -214,12 +221,9 @@ class CoopModel:
         if keep_cache:
             cache = {
                 "enc": enc, "enc_r": enc_r, "cache_r": cache_r,
-                "ht_tilde": ht_tilde, "hf_tilde": hf_tilde,
                 "h_t": h_t, "h_f": h_f, "r_out": r_out,
-                "cls": cls_cache, "coeff": coeff,
+                "cls": cls_cache, "resid": resid_cache, "coeff": coeff,
                 "grad_through_mask": grad_through_mask, "z": z,
-                "a_tr": a_tr, "a_fr": a_fr, "take_fr": take_fr,
-                "B": B,
             }
         return ForwardResult(probs=probs, x_r=x_r, e_m=e_m, cache=cache)
 
@@ -249,64 +253,82 @@ class CoopModel:
         """Branch heads + fusion. Returns (A_t, A_f, A, cache)."""
         c = self.config
         t = self.tensors
+        if c.fusion in ("max", "mean"):
+            return self._two_heads(ht_tilde, hf_tilde, ("time", "freq"),
+                                   c.granularity, c.fusion)
         cache = {}
-        if c.fusion in ("feat_add", "feat_gate"):
-            if c.fusion == "feat_add":
-                hc = ht_tilde + hf_tilde
-            else:
-                cat = np.concatenate([ht_tilde, hf_tilde], axis=-1)
-                g = sigmoid(cat @ t["w_gate"].T + t["b_gate"])
-                hc = g * ht_tilde + (1.0 - g) * hf_tilde
-                cache["g"], cache["cat"] = g, cat
-            a, head_cache = self._head(hc, "time")
-            cache["hc"], cache["head_c"] = hc, head_cache
-            return a, a, a, cache
-        a_t, cache["head_t"] = self._head(ht_tilde, "time")
-        a_f, cache["head_f"] = self._head(hf_tilde, "freq")
-        if c.fusion == "max":
-            take_f = a_f >= a_t
-            cache["take_f"] = take_f
-            a = np.where(take_f, a_f, a_t)
-        else:  # mean
-            a = 0.5 * (a_t + a_f)
-        return a_t, a_f, a, cache
+        if c.fusion == "feat_add":
+            hc = ht_tilde + hf_tilde
+        else:
+            cat = np.concatenate([ht_tilde, hf_tilde], axis=-1)
+            g = sigmoid(cat @ t["w_gate"].T + t["b_gate"])
+            hc = g * ht_tilde + (1.0 - g) * hf_tilde
+            cache["g"], cache["cat"] = g, cat
+        a, cache["head_c"] = self._head(hc, "time", c.granularity)
+        return a, a, a, cache
 
-    def _head(self, feats, branch):
-        """Per-patch probability from features (N, B, H), per granularity."""
-        c = self.config
-        t = self.tensors
-        if c.granularity == "patch":
-            a = sigmoid(np.squeeze(feats @ t[f"head_{branch}"].T, axis=-1))
-            return a, {"feats": feats}
-        if c.granularity == "step":
-            s = sigmoid(feats @ t[f"head_step_{branch}"].T)  # (N,B,P)
-            return s.mean(axis=-1), {"feats": feats, "s": s}
+    def _two_heads(self, f_t, f_f, names, granularity, fusion):
+        """A time and a frequency head over features (N, B, H), fused by the
+        max or the mean of their probabilities. Returns (A_t, A_f, A, cache);
+        under max fusion cache["take_f"] marks where the frequency head won."""
+        a_t, head_t = self._head(f_t, names[0], granularity)
+        a_f, head_f = self._head(f_f, names[1], granularity)
+        cache = {"fusion": fusion, "head_t": head_t, "head_f": head_f}
+        if fusion == "max":
+            take_f = cache["take_f"] = a_f >= a_t
+            return a_t, a_f, np.where(take_f, a_f, a_t), cache
+        return a_t, a_f, 0.5 * (a_t + a_f), cache
+
+    def _two_heads_backward(self, d_a, cache, grads):
+        """Backward of _two_heads; returns the feature gradients (d_f_t, d_f_f)."""
+        if cache["fusion"] == "max":
+            take_f = cache["take_f"]
+            d_af = np.where(take_f, d_a, 0.0)
+            d_at = np.where(take_f, 0.0, d_a)
+        else:
+            d_af = d_at = 0.5 * d_a
+        return (self._head_backward(d_at, cache["head_t"], grads),
+                self._head_backward(d_af, cache["head_f"], grads))
+
+    def _head(self, feats, name, granularity):
+        """Per-patch probabilities (N, B) from features (N, B, H) through the
+        weight head_<name> (head_step_<name> at step granularity). The cache
+        keeps the weight's name and the sigmoid outputs for _head_backward."""
+        w = f"head_step_{name}" if granularity == "step" else f"head_{name}"
+        weight = self.tensors[w]
+        cache = {"granularity": granularity, "w": w, "feats": feats}
+        if granularity == "patch":
+            a = cache["a"] = sigmoid(np.squeeze(feats @ weight.T, axis=-1))
+            return a, cache
+        if granularity == "step":
+            s = cache["s"] = sigmoid(feats @ weight.T)                # (N,B,P)
+            return s.mean(axis=-1), cache
         # window: pool over patches, single probability broadcast to N
-        pool = feats.mean(axis=0)                             # (B,H)
-        aw = sigmoid(np.squeeze(pool @ t[f"head_{branch}"].T, axis=-1))  # (B,)
-        a = np.broadcast_to(aw, (c.N, aw.shape[0])).copy()
-        return a, {"feats": feats, "pool": pool, "aw": aw}
+        pool = cache["pool"] = feats.mean(axis=0)                   # (B,H)
+        aw = cache["aw"] = sigmoid(np.squeeze(pool @ weight.T, axis=-1))  # (B,)
+        return np.broadcast_to(aw, (self.config.N, aw.shape[0])).copy(), cache
 
-    def _head_backward(self, d_a, head_cache, branch, grads):
+    def _head_backward(self, d_a, head_cache, grads):
         """Backward of _head; returns gradient w.r.t. the features."""
         c = self.config
-        t = self.tensors
+        w = head_cache["w"]
+        weight = self.tensors[w]
         feats = head_cache["feats"]
-        if c.granularity == "patch":
-            a = sigmoid(np.squeeze(feats @ t[f"head_{branch}"].T, axis=-1))
+        if head_cache["granularity"] == "patch":
+            a = head_cache["a"]
             dlog = d_a * a * (1.0 - a)
-            grads[f"head_{branch}"] += np.einsum("nb,nbh->h", dlog, feats)[None, :]
-            return dlog[..., None] * t[f"head_{branch}"][0]
-        if c.granularity == "step":
+            grads[w] += np.einsum("nb,nbh->h", dlog, feats)[None, :]
+            return dlog[..., None] * weight[0]
+        if head_cache["granularity"] == "step":
             s = head_cache["s"]
             dlog = (d_a[..., None] / c.P) * s * (1.0 - s)     # (N,B,P)
-            grads[f"head_step_{branch}"] += np.einsum("nbp,nbh->ph", dlog, feats)
-            return dlog @ t[f"head_step_{branch}"]
+            grads[w] += np.einsum("nbp,nbh->ph", dlog, feats)
+            return dlog @ weight
         pool, aw = head_cache["pool"], head_cache["aw"]
         d_aw = d_a.sum(axis=0)                                # (B,)
         dlog = d_aw * aw * (1.0 - aw)
-        grads[f"head_{branch}"] += np.einsum("b,bh->h", dlog, pool)[None, :]
-        dpool = dlog[:, None] * t[f"head_{branch}"][0]
+        grads[w] += np.einsum("b,bh->h", dlog, pool)[None, :]
+        dpool = dlog[:, None] * weight[0]
         return np.broadcast_to(dpool / c.N, feats.shape).copy()
 
     # -- backward ---------------------------------------------------------
@@ -321,31 +343,14 @@ class CoopModel:
         c = self.config
         t = self.tensors
         grads = self.zero_grads()
-        B = cache["B"]
+        B = d_ac.shape[1]
         n, p = c.N, c.P
 
-        d_a = 0.5 * d_ac
-        d_ar = 0.5 * d_ac
-
-        # residual heads: max routing, shared head_resid
-        take_fr = cache["take_fr"]
-        a_fr, a_tr = cache["a_fr"], cache["a_tr"]
-        d_afr = np.where(take_fr, d_ar, 0.0)
-        d_atr = np.where(take_fr, 0.0, d_ar)
-        dlog_fr = d_afr * a_fr * (1.0 - a_fr)
-        dlog_tr = d_atr * a_tr * (1.0 - a_tr)
-        ht_tilde, hf_tilde = cache["ht_tilde"], cache["hf_tilde"]
-        d_t = ht_tilde - cache["h_t"]
-        d_f = hf_tilde - cache["h_f"]
-        grads["head_resid"] += (np.einsum("nb,nbh->h", dlog_fr, d_f)
-                                + np.einsum("nb,nbh->h", dlog_tr, d_t))[None, :]
-        dd_f = dlog_fr[..., None] * t["head_resid"][0]
-        dd_t = dlog_tr[..., None] * t["head_resid"][0]
-        d_ht_tilde = dd_t.copy()
-        d_hf_tilde = dd_f.copy()
-
-        # residual encoders -> gradient w.r.t. the reconstruction
-        du_t2, du_f2 = self._encode_backward(cache["enc_r"], -dd_t, -dd_f, grads)
+        # residual heads, then the residual encoders -> gradient w.r.t. the
+        # reconstruction; the first-stage paths add into d_ht/hf_tilde below
+        d_ht_tilde, d_hf_tilde = self._two_heads_backward(0.5 * d_ac, cache["resid"], grads)
+        du_t2, du_f2 = self._encode_backward(cache["enc_r"], -d_ht_tilde, -d_hf_tilde,
+                                             grads)
         d_xr = (du_t2 @ t["w_time_patch"]).transpose(1, 0, 2).reshape(B, c.T)
         d_fpat_r = du_f2 @ t["w_freq_patch"]                        # (N,B,2KP)
         d_spec_r = d_fpat_r.reshape(n, B, p, 2 * c.K).transpose(1, 3, 0, 2) \
@@ -367,13 +372,18 @@ class CoopModel:
         grads["e_mask"] += np.einsum("nbh->nh", coeff[..., None] * d_em).T
         d_z = (1.0 - coeff)[..., None] * d_em
         grads["w_mask_proj"] += np.einsum("nbh,nbp->hp", d_z, cache["enc"]["patches"])
-        if cache["grad_through_mask"]:
-            d_a = d_a + ((em_cols - z) * d_em).sum(axis=-1)
 
         # fusion + branch heads
+        d_a = 0.5 * d_ac
+        if cache["grad_through_mask"]:
+            d_a = d_a + ((em_cols - z) * d_em).sum(axis=-1)
         cls = cache["cls"]
-        if c.fusion in ("feat_add", "feat_gate"):
-            d_hc = self._head_backward(d_a, cls["head_c"], "time", grads)
+        if c.fusion in ("max", "mean"):
+            d_t, d_f = self._two_heads_backward(d_a, cls, grads)
+            d_ht_tilde += d_t
+            d_hf_tilde += d_f
+        else:
+            d_hc = self._head_backward(d_a, cls["head_c"], grads)
             if c.fusion == "feat_add":
                 d_ht_tilde += d_hc
                 d_hf_tilde += d_hc
@@ -381,23 +391,13 @@ class CoopModel:
                 g, cat = cls["g"], cls["cat"]
                 d_ht_tilde += d_hc * g
                 d_hf_tilde += d_hc * (1.0 - g)
-                d_g = d_hc * (ht_tilde - hf_tilde)
+                d_g = d_hc * (cat[..., :c.H] - cat[..., c.H:])  # ht_tilde - hf_tilde
                 d_gpre = d_g * g * (1.0 - g)
                 grads["w_gate"] += np.einsum("nbh,nbj->hj", d_gpre, cat)
                 grads["b_gate"] += d_gpre.sum(axis=(0, 1))
                 d_cat = d_gpre @ t["w_gate"]
                 d_ht_tilde += d_cat[..., :c.H]
                 d_hf_tilde += d_cat[..., c.H:]
-        else:
-            if c.fusion == "max":
-                take_f = cls["take_f"]
-                d_af = np.where(take_f, d_a, 0.0)
-                d_at = np.where(take_f, 0.0, d_a)
-            else:
-                d_af = 0.5 * d_a
-                d_at = 0.5 * d_a
-            d_ht_tilde += self._head_backward(d_at, cls["head_t"], "time", grads)
-            d_hf_tilde += self._head_backward(d_af, cls["head_f"], "freq", grads)
 
         # first-pass encoders
         self._encode_backward(cache["enc"], d_ht_tilde, d_hf_tilde, grads)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import make_windows
+from .data import DataError, make_windows
 
 
 @dataclass
@@ -97,15 +97,24 @@ def write_scores_csv(path, series):
 
 
 def read_scores_csv(path):
+    """Read back (scores, smoothed) as write_scores_csv wrote them. A file
+    that is not UTF-8, a wrong header, a row without three fields or a value
+    that is not a number raises DataError naming the file (and the 1-based
+    line)."""
     scores, smoothed = [], []
-    with open(path) as f:
-        header = f.readline()
-        if not header.startswith("index,"):
-            raise ValueError(f"{path}: unexpected scores header")
-        for line in f:
-            parts = line.strip().split(",")
-            if len(parts) != 3:
-                continue
-            scores.append(float(parts[1]))
-            smoothed.append(float(parts[2]))
+    try:
+        with open(path, encoding="utf-8") as f:
+            if not f.readline().startswith("index,"):
+                raise DataError(f"{path}: line 1: unexpected scores header")
+            for lineno, line in enumerate(f, start=2):
+                parts = line.split(",")
+                try:
+                    if len(parts) != 3:
+                        raise ValueError(f"{len(parts)} fields, expected 3")
+                    scores.append(float(parts[1]))
+                    smoothed.append(float(parts[2]))
+                except ValueError as e:
+                    raise DataError(f"{path}: line {lineno}: {e}") from None
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not UTF-8 text") from None
     return np.asarray(scores), np.asarray(smoothed)

@@ -14,12 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def analysis_window(frame_len):
-    """Rectangular analysis window, so a constant input excites only the DC
-    bin exactly."""
-    return np.ones(frame_len)
-
-
 def frame_len_for_period(period):
     """Frame length tied to the dominant period: nearest even, in [8, 64]."""
     fl = int(round(period / 2.0)) * 2
@@ -27,7 +21,8 @@ def frame_len_for_period(period):
 
 
 def stft_matrix(T, frame_len, K):
-    """Dense operator M with (M @ x).reshape(2K, T) == stft(x).
+    """Dense (2K*T, T) operator M: (M @ x).reshape(2K, T) is the spectrogram
+    of a window x of length T.
 
     Real parts occupy rows 0..K-1 (row k spans T columns of output), the
     matching imaginary parts rows K..2K-1. Sample j of the frame centered at
@@ -40,11 +35,10 @@ def stft_matrix(T, frame_len, K):
         raise ValueError(f"K={K} exceeds frame_len//2+1={frame_len // 2 + 1}")
     if T < frame_len:
         raise ValueError(f"window length {T} shorter than frame_len {frame_len}")
-    w = analysis_window(frame_len)
     m = np.arange(frame_len)
     angles = 2.0 * np.pi * np.outer(np.arange(K), m) / frame_len
-    cosw = np.cos(angles) * w  # (K, frame_len)
-    sinw = -np.sin(angles) * w
+    cosw = np.cos(angles)  # (K, frame_len); the window is boxcar
+    sinw = -np.sin(angles)
     # src[t + j] is the reflected source sample of frame t's offset j
     src = np.pad(np.arange(T), frame_len // 2, mode="reflect")
     rows = np.arange(T)
@@ -60,16 +54,6 @@ def stft_matrix(T, frame_len, K):
 
 
 def stft_apply(matrix, x, K):
-    """Apply a prebuilt operator to x of shape (T,) or (B, T)."""
+    """Apply a prebuilt operator to windows x (B, T); returns (B, 2K, T)."""
     x = np.asarray(x, dtype=np.float64)
-    T = x.shape[-1]
-    if x.ndim == 1:
-        return (matrix @ x).reshape(2 * K, T)
-    return (x @ matrix.T).reshape(x.shape[0], 2 * K, T)
-
-
-def stft(window_values, K, frame_len):
-    """Spectrogram of a single window, shape (2K, T)."""
-    window_values = np.asarray(window_values, dtype=np.float64)
-    M = stft_matrix(len(window_values), frame_len, K)
-    return stft_apply(M, window_values, K)
+    return (x @ matrix.T).reshape(x.shape[0], 2 * K, x.shape[1])

@@ -69,7 +69,7 @@ def loss_and_grads(model, x_distorted, x_clean, patch_labels, rng=None):
     Returns (LossBreakdown, grads, ForwardResult); the result's backward
     cache is dropped once backward has used it.
     """
-    result = model.forward(x_distorted, rng=rng, training=True, keep_cache=True)
+    result = model.forward(x_distorted, rng=rng, keep_cache=True)
     a_c = result.probs.combined                       # (N, B)
     y = np.asarray(patch_labels, dtype=np.float64).T  # (B, N) in -> (N, B)
     bce = bce_loss(a_c, y)

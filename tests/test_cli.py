@@ -133,6 +133,21 @@ class TestDetectEval:
         assert set(payload["mean"]) >= {"datasets", "f1", "auc_pr",
                                         "r_auc_pr", "vus_pr"}
 
+    @pytest.mark.parametrize("row, message", [
+        (b"2,0.5", "line 4: 2 fields, expected 3"),
+        (b"2,abc,0.5", "line 4: could not convert string to float: 'abc'"),
+        (b"2,\xff,0.5", "not UTF-8 text"),
+    ], ids=["short_row", "not_a_number", "not_utf8"])
+    def test_eval_damaged_scores_csv(self, dataset, tmp_path, row, message):
+        scores = tmp_path / "s.csv"
+        scores.write_bytes(b"index,score,smoothed\n0,0.1,0.1\n1,0.2,0.2\n"
+                           + row + b"\n3,0.3,0.3\n")
+        r = CliRunner().invoke(main, ["eval", "--scores", str(scores),
+                                      "--data", dataset["path"]])
+        assert r.exit_code == 3, r.output
+        assert f"{scores}: {message}" in r.output
+        assert "Traceback" not in r.output
+
     def test_eval_requires_inputs(self):
         r = CliRunner().invoke(main, ["eval"])
         assert r.exit_code == 2
@@ -232,7 +247,9 @@ class TestRunDirChecks:
          "missing field 'norm_std'"),
         (lambda text: edit_json(text, lambda c: c["model"].update(masking="fuzzy")),
          "masking must be one of"),
-    ], ids=["invalid_json", "missing_norm_std", "unknown_masking"])
+        (lambda text: edit_json(text, lambda c: c.update(model=[])),
+         "model settings must be an object, not list"),
+    ], ids=["invalid_json", "missing_norm_std", "unknown_masking", "model_not_object"])
     def test_malformed_config(self, dataset, run_dir, tmp_path, edit, message):
         run = copy_run(run_dir, tmp_path)
         cfg = run / "config.json"
@@ -342,6 +359,15 @@ class TestInject:
                                       "--test-kind", "jittering"])
         assert r.exit_code == 3
 
+    def test_negative_seed_usage_error(self, dataset, tmp_path):
+        out = tmp_path / "o"
+        r = CliRunner().invoke(main, ["inject", "--data", dataset["path"],
+                                      "--out", str(out), "--test-kind",
+                                      "jittering", "--seed", "-1"])
+        assert r.exit_code == 2, r.output
+        assert "--seed" in r.output
+        assert not out.exists()
+
 
 class TestBench:
     def test_small_bench(self):
@@ -349,3 +375,17 @@ class TestBench:
         assert r.exit_code == 0, r.output
         assert "params=" in r.output
         assert "points/s" in r.output
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--points", "0"), ("--period", "0"), ("--seed", "-1")])
+    def test_out_of_range_usage_error(self, flag, value):
+        r = CliRunner().invoke(main, ["bench", flag, value])
+        assert r.exit_code == 2, r.output
+        assert flag in r.output
+
+    def test_fewer_points_than_a_window(self):
+        # period 50 gives a window of T = 200
+        r = CliRunner().invoke(main, ["bench", "--points", "100", "--period", "50"])
+        assert r.exit_code == 3, r.output
+        assert "window length 200 exceeds region length 100" in r.output
+        assert "Traceback" not in r.output

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from coopad.checkpoint import load_checkpoint, save_checkpoint
-from coopad.model import (CoopConfig, CoopModel, hard_mask_threshold,
-                          mask_coefficients)
+from coopad.model import (FUSIONS, GRANULARITIES, CoopConfig, CoopModel,
+                          hard_mask_threshold, mask_coefficients)
+from coopad.numerics import grad_check
+from coopad.train import loss_and_grads
 
 SMALL = dict(T=16, P=4, H=3, K=2, layers=1, frame_len=8)
 
@@ -253,3 +255,31 @@ class TestEncode:
         h_t, h_f, _ = m._encode(res.x_r)
         assert np.array_equal(res.cache["h_t"], h_t)
         assert np.array_equal(res.cache["h_f"], h_f)
+
+
+# criterion 1 certifies patch granularity with max fusion under soft masking;
+# these are the other heads and fusions, then the other maskings at those heads
+ABLATIONS = ([dict(granularity=g, fusion=f) for g in GRANULARITIES for f in FUSIONS
+              if (g, f) != ("patch", "max")]
+             + [dict(masking=m) for m in ("hard", "random", "grating")])
+
+
+class TestAblationGradients:
+    @pytest.mark.parametrize("overrides", ABLATIONS,
+                             ids=lambda o: "-".join(o.values()))
+    def test_matches_finite_differences(self, overrides):
+        model = small_model(**overrides)
+        rng = np.random.default_rng(0)
+        x_clean = rng.normal(size=(2, 16))
+        x_dist = x_clean + rng.normal(0, 0.3, size=(2, 16))
+        labels = np.array([[0, 1, 0, 0], [0, 0, 1, 1]], dtype=np.int8)
+
+        def run():
+            # a fresh rng per call keeps the random and grating masks fixed
+            return loss_and_grads(model, x_dist, x_clean, labels,
+                                  rng=np.random.default_rng(5))
+
+        _, grads, _ = run()
+        rep = grad_check(lambda: run()[0].total, model.tensors, grads, h=1e-5)
+        worst = max(rep, key=rep.get)
+        assert rep[worst] < 1e-3, f"{worst}: max rel err {rep[worst]:.3e}"

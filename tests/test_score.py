@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from coopad.data import DataError
 from coopad.model import CoopConfig, CoopModel
 from coopad.score import (detect, pointwise_scores, read_scores_csv, smooth,
                           stitch, write_scores_csv)
@@ -139,5 +140,5 @@ class TestScoresCsv:
     def test_bad_header(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("nope\n1,2,3\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match="line 1: unexpected scores header"):
             read_scores_csv(str(p))

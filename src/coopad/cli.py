@@ -1,19 +1,23 @@
 """Command-line front end: train, detect, eval, inject, bench.
 
 Exit codes: 0 success, 2 usage error (also a train, inject or bench
-number out of range, or more --freq-bins than the period's STFT frame has),
-3 data error (also non-finite input values, a test region or bench series
+number out of range, more --freq-bins than the period's STFT frame has,
+or --split given for a UCR file, whose name holds its split),
+3 data error (also a file that cannot be read or written, non-finite input
+values, a CSV label other than 0 or 1, a test region or bench series
 shorter than the window, a config.json that is not valid JSON or lacks a
 field, a model.ckpt that is truncated or does not match config.json, or a
 scores CSV for eval that is not UTF-8, has a wrong header or has a row
 that is not three numbers), 4 numeric failure (also non-finite detect
-scores, in which case no scores CSV is written).
+scores, in which case no scores CSV is written). The command group maps
+errors to these codes in one place (`_Coopad.invoke`).
 Every run directory is self-describing: config.json plus the seed are
 enough to reproduce outputs bit-for-bit.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import sys
@@ -37,15 +41,28 @@ EXIT_NUMERIC = 4
 def _load_series(path, split=None):
     if path.endswith(".csv"):
         return load_csv(path, split=split)
+    if split is not None:
+        raise click.BadParameter(f"applies to CSV files only; {path} names its split",
+                                 param_hint="'--split'")
     return load_ucr(path)
 
 
-def _fail(code, msg):
-    click.echo(f"error: {msg}", err=True)
-    sys.exit(code)
+class _Coopad(click.Group):
+    """Maps the library's errors to the exit codes above, with an ``error:``
+    line on stderr. A broken pipe is left to click, which exits 1 quietly."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (DataError, CheckpointError, metrics.MetricError, OSError,
+                NumericError) as e:
+            if isinstance(e, OSError) and e.errno == errno.EPIPE:
+                raise
+            click.echo(f"error: {e}", err=True)
+            sys.exit(EXIT_NUMERIC if isinstance(e, NumericError) else EXIT_DATA)
 
 
-@click.group()
+@click.group(cls=_Coopad)
 def main():
     """Cooperative time-series anomaly detection."""
 
@@ -65,40 +82,33 @@ def main():
 @click.option("--masking", default="soft", type=click.Choice(MASKINGS), show_default=True)
 @click.option("--granularity", default="patch", type=click.Choice(GRANULARITIES), show_default=True)
 @click.option("--fusion", default="max", type=click.Choice(FUSIONS), show_default=True)
-@click.option("--scoring", default="joint", type=click.Choice(SCORINGS), show_default=True)
 @click.option("--exclude-kind", "exclude_kinds", multiple=True,
               type=click.Choice(augment.KINDS))
 @click.option("--distortion-prob", default=0.9, type=click.FloatRange(0, 1), show_default=True)
 @click.option("--split", default=None, type=int, help="CSV train/test split index")
 def cmd_train(data_path, out_dir, seed, epochs, lr, batch, lam, hidden, layers,
-              patch, freq_bins, masking, granularity, fusion, scoring,
+              patch, freq_bins, masking, granularity, fusion,
               exclude_kinds, distortion_prob, split):
     """Fit a model; writes model.ckpt, config.json, train.csv."""
+    series = _load_series(data_path, split)
+    stats = train_stats(series)
+    norm = zscore(series.values, stats)
+    period = estimate_period(norm[: series.split]).period
+    config = CoopConfig.for_period(
+        period, P=patch, H=hidden, K=freq_bins, layers=layers, lam=lam,
+        masking=masking, granularity=granularity, fusion=fusion)
     try:
-        series = _load_series(data_path, split)
-        stats = train_stats(series)
-        norm = zscore(series.values, stats)
-        period = estimate_period(norm[: series.split]).period
-        config = CoopConfig.for_period(
-            period, P=patch, H=hidden, K=freq_bins, layers=layers, lam=lam,
-            masking=masking, granularity=granularity, fusion=fusion,
-            scoring=scoring)
-        try:
-            model = CoopModel(config, seed=seed)
-        except ValueError as e:  # the flags' ranges hold; K <= frame_len/2 + 1 is left
-            raise click.BadParameter(f"{e} (period {period})", param_hint="'--freq-bins'") from None
-        tcfg = TrainConfig(lr=lr, epochs=epochs, batch=batch, seed=seed,
-                           distortion_prob=distortion_prob,
-                           exclude_kinds=tuple(exclude_kinds))
-        active = [k for k in augment.KINDS if k not in exclude_kinds]
-        click.echo(f"dataset={series.name} period={period} T={config.T} "
-                   f"N={config.N} params={model.num_params()} "
-                   f"active_kinds={len(active)} ({','.join(active)})")
-        log = fit(norm[: series.split], period, model, tcfg)
-    except DataError as e:
-        _fail(EXIT_DATA, e)
-    except NumericError as e:
-        _fail(EXIT_NUMERIC, e)
+        model = CoopModel(config, seed=seed)
+    except ValueError as e:  # the flags' ranges hold; K <= frame_len/2 + 1 is left
+        raise click.BadParameter(f"{e} (period {period})", param_hint="'--freq-bins'") from None
+    tcfg = TrainConfig(lr=lr, epochs=epochs, batch=batch, seed=seed,
+                       distortion_prob=distortion_prob,
+                       exclude_kinds=tuple(exclude_kinds))
+    active = [k for k in augment.KINDS if k not in exclude_kinds]
+    click.echo(f"dataset={series.name} period={period} T={config.T} "
+               f"N={config.N} params={model.num_params()} "
+               f"active_kinds={len(active)} ({','.join(active)})")
+    log = fit(norm[: series.split], period, model, tcfg)
     os.makedirs(out_dir, exist_ok=True)
     save_checkpoint(os.path.join(out_dir, "model.ckpt"),
                     model.config_block(), model.tensors)
@@ -166,19 +176,14 @@ def load_run(run_dir):
 @click.option("--split", default=None, type=int)
 def cmd_detect(run_dir, data_path, out_path, scoring, split):
     """Score the test region of a dataset; writes a scores CSV."""
-    try:
-        model, stats = load_run(run_dir)
-        series = _load_series(data_path, split)
-        test = zscore(series.values, stats)[series.split:]
-        result = score.detect(test, model, scoring=scoring)
-    except (DataError, CheckpointError) as e:
-        _fail(EXIT_DATA, e)
-    except FloatingPointError as e:
-        _fail(EXIT_NUMERIC, e)
+    model, stats = load_run(run_dir)
+    series = _load_series(data_path, split)
+    test = zscore(series.values, stats)[series.split:]
+    result = score.detect(test, model, scoring=scoring)
     bad = np.flatnonzero(~np.isfinite(result.scores) | ~np.isfinite(result.smoothed))
     if bad.size:
-        _fail(EXIT_NUMERIC, f"{bad.size} non-finite scores (first at test index "
-                            f"{bad[0]}); no scores written")
+        raise NumericError(f"{bad.size} non-finite scores (first at test index "
+                           f"{bad[0]}); no scores written")
     score.write_scores_csv(out_path, result)
     click.echo(f"wrote {len(result.scores)} scores to {out_path}")
 
@@ -194,29 +199,26 @@ def cmd_detect(run_dir, data_path, out_path, scoring, split):
 @click.option("--split", default=None, type=int)
 def cmd_eval(scores_path, data_path, out_path, manifest_path, scores_dir, split):
     """Evaluate scores against labels; emits a report JSON."""
-    try:
-        if manifest_path:
-            reports = []
-            for path in read_manifest(manifest_path):
-                series = _load_series(path, split)
-                stem = os.path.basename(path).rsplit(".", 1)[0]
-                spath = os.path.join(scores_dir, stem + ".scores.csv")
-                _, smoothed = score.read_scores_csv(spath)
-                rep = metrics.evaluate(smoothed, series.test_labels)
-                reports.append(rep.to_dict(series.name))
-            table = metrics.aggregate_reports(reports)
-            payload = {"mean": table, "per_dataset": reports}
-        else:
-            if not scores_path or not data_path:
-                raise click.UsageError("--scores and --data required without --aggregate")
-            series = _load_series(data_path, split)
-            _, smoothed = score.read_scores_csv(scores_path)
-            if series.test_labels is None:
-                raise DataError(f"{data_path}: no labels to evaluate against")
+    if manifest_path:
+        reports = []
+        for path in read_manifest(manifest_path):
+            series = _load_series(path, split)
+            stem = os.path.basename(path).rsplit(".", 1)[0]
+            spath = os.path.join(scores_dir, stem + ".scores.csv")
+            _, smoothed = score.read_scores_csv(spath)
             rep = metrics.evaluate(smoothed, series.test_labels)
-            payload = rep.to_dict(series.name)
-    except (DataError, metrics.MetricError, OSError) as e:
-        _fail(EXIT_DATA, e)
+            reports.append(rep.to_dict(series.name))
+        table = metrics.aggregate_reports(reports)
+        payload = {"mean": table, "per_dataset": reports}
+    else:
+        if not scores_path or not data_path:
+            raise click.UsageError("--scores and --data required without --aggregate")
+        series = _load_series(data_path, split)
+        _, smoothed = score.read_scores_csv(scores_path)
+        if series.test_labels is None:
+            raise DataError(f"{data_path}: no labels to evaluate against")
+        rep = metrics.evaluate(smoothed, series.test_labels)
+        payload = rep.to_dict(series.name)
     text = json.dumps(payload, indent=2, sort_keys=True)
     if out_path:
         with open(out_path, "w") as f:
@@ -233,17 +235,14 @@ def cmd_eval(scores_path, data_path, out_path, manifest_path, scores_dir, split)
 def cmd_inject(data_path, out_dir, test_kind, seed, split):
     """Replace each labeled test anomaly with a chosen distortion kind;
     writes the distorted series plus a label file (generalization studies)."""
-    try:
-        series = _load_series(data_path, split)
-        if series.labels is None or series.labels.sum() == 0:
-            raise DataError(f"{data_path}: no labeled anomalies to replace")
-        rng = np.random.default_rng(seed)
-        values = series.values.copy()
-        for s, e in metrics.anomaly_ranges(series.labels):
-            seg, _ = augment.apply_kind(values[s:e + 1], test_kind, rng)
-            values[s:e + 1] = seg
-    except DataError as e:
-        _fail(EXIT_DATA, e)
+    series = _load_series(data_path, split)
+    if series.labels is None or series.labels.sum() == 0:
+        raise DataError(f"{data_path}: no labeled anomalies to replace")
+    rng = np.random.default_rng(seed)
+    values = series.values.copy()
+    for s, e in metrics.anomaly_ranges(series.labels):
+        seg, _ = augment.apply_kind(values[s:e + 1], test_kind, rng)
+        values[s:e + 1] = seg
     os.makedirs(out_dir, exist_ok=True)
     stem = os.path.basename(data_path).rsplit(".", 1)[0] + f"_{test_kind}"
     out_series = type(series)(values=values, name=stem, split=series.split,
@@ -268,10 +267,7 @@ def cmd_bench(points, period, seed):
     model = CoopModel(config, seed=seed)
     n_params = model.num_params()
     t0 = time.perf_counter()
-    try:
-        result = score.detect(values, model)
-    except DataError as e:  # fewer points than one window
-        _fail(EXIT_DATA, e)
+    result = score.detect(values, model)
     elapsed = time.perf_counter() - t0
     throughput = len(result.scores) / elapsed
     click.echo(f"points={points} T={config.T} params={n_params}")

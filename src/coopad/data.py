@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +54,17 @@ _UCR_NAME = re.compile(r"_(\d+)_(\d+)_(\d+)\.(txt|csv|tsv|dat)$", re.IGNORECASE)
 _CHUNK_BYTES = 1 << 18
 
 
+@contextmanager
+def open_text(path, name):
+    """`path` opened for reading as UTF-8 text; bytes that do not decode
+    raise DataError naming the file as `name`. Every text reader uses it."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            yield f
+    except UnicodeDecodeError:
+        raise DataError(f"{name}: not UTF-8 text") from None
+
+
 def _finite(values, source):
     """values, or a DataError naming the first NaN/inf and its 0-based index."""
     bad = np.flatnonzero(~np.isfinite(values))
@@ -93,13 +105,10 @@ def load_ucr(path):
         raise DataError(f"filename does not follow _<split>_<start>_<end> convention: {base}")
     split, astart, aend = int(m.group(1)), int(m.group(2)), int(m.group(3))
     chunks, lineno = [], 0
-    try:
-        with open(path, encoding="utf-8") as f:
-            while lines := f.readlines(_CHUNK_BYTES):
-                chunks.append(_parse_lines(lines, lineno, base))
-                lineno += len(lines)
-    except UnicodeDecodeError:
-        raise DataError(f"{base}: not UTF-8 text") from None
+    with open_text(path, base) as f:
+        while lines := f.readlines(_CHUNK_BYTES):
+            chunks.append(_parse_lines(lines, lineno, base))
+            lineno += len(lines)
     values = np.concatenate(chunks) if chunks else np.empty(0)
     if not values.size:
         raise DataError(f"{base}: empty file")
@@ -116,31 +125,34 @@ def load_ucr(path):
 
 def load_csv(path, split=None):
     """Load a UTF-8 CSV whose header names a ``value`` column and, optionally,
-    a 0/1 ``label`` column; the train/test split defaults to half the rows."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            header = f.readline().strip()
-            if not header:
-                raise DataError(f"{path}: empty file")
-            cols = [c.strip() for c in header.split(",")]
-            if "value" not in cols:
-                raise DataError(f"{path}: missing column 'value'")
-            vi = cols.index("value")
-            li = cols.index("label") if "label" in cols else None
-            values, labels = [], []
-            for lineno, line in enumerate(f, start=2):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split(",")
-                try:
-                    values.append(float(parts[vi]))
-                    if li is not None:
-                        labels.append(int(float(parts[li])))
-                except (ValueError, IndexError):
-                    raise DataError(f"{path}: bad row at line {lineno}: {line!r}")
-    except UnicodeDecodeError:
-        raise DataError(f"{path}: not UTF-8 text") from None
+    a ``label`` column of 0s and 1s; the train/test split defaults to half the
+    rows. A label that is not 0 or 1 (``1.0`` is 1) raises DataError naming
+    the file and the 1-based line."""
+    with open_text(path, path) as f:
+        header = f.readline().strip()
+        if not header:
+            raise DataError(f"{path}: empty file")
+        cols = [c.strip() for c in header.split(",")]
+        if "value" not in cols:
+            raise DataError(f"{path}: missing column 'value'")
+        vi = cols.index("value")
+        li = cols.index("label") if "label" in cols else None
+        values, labels = [], []
+        for lineno, line in enumerate(f, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            try:
+                values.append(float(parts[vi]))
+                if li is not None:
+                    label = float(parts[li])
+                    if label not in (0.0, 1.0):
+                        raise DataError(f"{path}: line {lineno}: label "
+                                        f"{parts[li].strip()!r} is not 0 or 1")
+                    labels.append(int(label))
+            except (ValueError, IndexError):
+                raise DataError(f"{path}: bad row at line {lineno}: {line!r}")
     if not values:
         raise DataError(f"{path}: no data rows")
     values = _finite(np.asarray(values, dtype=np.float64), path)
@@ -211,7 +223,8 @@ class WindowBatch:
 
 def window_origins(region_len, T, stride, phase=0):
     """Origins 0(+phase), stride steps apart, plus a right-aligned final
-    window so every point of the region is covered."""
+    window, so a stride of at most T covers every point from the first
+    origin on."""
     if T > region_len:
         raise DataError(f"window length {T} exceeds region length {region_len}")
     origins = list(range(phase, region_len - T + 1, stride))
@@ -232,7 +245,7 @@ def read_manifest(path):
     """Dataset manifest: one path per line, '#' starts a comment."""
     entries = []
     base = os.path.dirname(os.path.abspath(path))
-    with open(path) as f:
+    with open_text(path, path) as f:
         for line in f:
             line = line.split("#", 1)[0].strip()
             if not line:

@@ -83,7 +83,7 @@ class CoopConfig:
         p = overrides.pop("P", 8)
         t = ((4 * period + p - 1) // p) * p
         return cls(T=t, P=p, frame_len=min(spectral.frame_len_for_period(period), t),
-                   smooth_window=period + 1,  # one period, odd width
+                   smooth_window=period + 1,  # odd periods: smooth() widens to period + 2
                    **overrides)
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError, make_windows
+from .data import DataError, make_windows, open_text
 
 
 @dataclass
@@ -69,8 +69,9 @@ def detect(test_values, model, scoring=None, batch=256):
     which suppresses the variance a single window placement leaves behind.
     On the synthetic fixture T/8 scores no better and T/2 clearly worse, so
     the stride is fixed. A centered moving average of the config's
-    smooth_window width (P when that is 0; one dominant period plus one for
-    a config made by CoopConfig.for_period) follows. `batch` windows go
+    smooth_window width (P when that is 0) follows; `smooth` rounds an even
+    width up to odd, so a config made by CoopConfig.for_period smooths over
+    period + 1 points for an even period and period + 2 for an odd one. `batch` windows go
     through the model at a time; the scores do not depend on it.
     """
     c = model.config
@@ -102,19 +103,16 @@ def read_scores_csv(path):
     that is not a number raises DataError naming the file (and the 1-based
     line)."""
     scores, smoothed = [], []
-    try:
-        with open(path, encoding="utf-8") as f:
-            if not f.readline().startswith("index,"):
-                raise DataError(f"{path}: line 1: unexpected scores header")
-            for lineno, line in enumerate(f, start=2):
-                parts = line.split(",")
-                try:
-                    if len(parts) != 3:
-                        raise ValueError(f"{len(parts)} fields, expected 3")
-                    scores.append(float(parts[1]))
-                    smoothed.append(float(parts[2]))
-                except ValueError as e:
-                    raise DataError(f"{path}: line {lineno}: {e}") from None
-    except UnicodeDecodeError:
-        raise DataError(f"{path}: not UTF-8 text") from None
+    with open_text(path, path) as f:
+        if not f.readline().startswith("index,"):
+            raise DataError(f"{path}: line 1: unexpected scores header")
+        for lineno, line in enumerate(f, start=2):
+            parts = line.split(",")
+            try:
+                if len(parts) != 3:
+                    raise ValueError(f"{len(parts)} fields, expected 3")
+                scores.append(float(parts[1]))
+                smoothed.append(float(parts[2]))
+            except ValueError as e:
+                raise DataError(f"{path}: line {lineno}: {e}") from None
     return np.asarray(scores), np.asarray(smoothed)

@@ -1,3 +1,4 @@
+import errno
 import json
 import shutil
 from pathlib import Path
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from coopad import cli
 from coopad.checkpoint import load_checkpoint, save_checkpoint
 from coopad.cli import main
 from coopad.data import RawSeries
@@ -388,4 +390,66 @@ class TestBench:
         r = CliRunner().invoke(main, ["bench", "--points", "100", "--period", "50"])
         assert r.exit_code == 3, r.output
         assert "window length 200 exceeds region length 100" in r.output
+        assert "Traceback" not in r.output
+
+
+class TestErrorBoundary:
+    def test_detect_out_in_missing_directory(self, dataset, run_dir, tmp_path):
+        out = tmp_path / "no" / "such" / "s.csv"
+        r = detect(run_dir, dataset["path"], out)
+        assert r.exit_code == 3, r.output
+        assert f"error: [Errno 2] No such file or directory: '{out}'" in r.output
+        assert "Traceback" not in r.output
+
+    def test_eval_manifest_not_utf8(self, tmp_path):
+        manifest = tmp_path / "list.txt"
+        manifest.write_bytes(b"# corpus\n\xff_1_2_2.txt\n")
+        r = CliRunner().invoke(main, ["eval", "--aggregate", str(manifest)])
+        assert r.exit_code == 3, r.output
+        assert f"error: {manifest}: not UTF-8 text" in r.output
+
+    def test_broken_pipe_left_to_click(self, dataset, tmp_path, monkeypatch):
+        scores = tmp_path / "s.csv"
+        scores.write_text("index,score,smoothed\n" +
+                          "".join(f"{i},0.1,0.1\n" for i in range(800)))
+
+        def evaluate(*args):
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+        monkeypatch.setattr(cli.metrics, "evaluate", evaluate)
+        r = CliRunner().invoke(main, ["eval", "--scores", str(scores),
+                                      "--data", dataset["path"]])
+        assert r.exit_code == 1
+        assert "error:" not in r.output
+
+    @pytest.mark.parametrize("command", ["train", "detect", "eval", "inject"])
+    def test_split_on_ucr_file_usage_error(self, dataset, run_dir, tmp_path, command):
+        out = tmp_path / "out"
+        args = {
+            "train": train_args(dataset, str(out)),
+            "detect": ["detect", "--run", run_dir, "--data", dataset["path"],
+                       "--out", str(out)],
+            "eval": ["eval", "--aggregate", dataset["manifest"],
+                     "--scores-dir", str(tmp_path)],
+            "inject": ["inject", "--data", dataset["path"], "--out", str(out),
+                       "--test-kind", "jittering"],
+        }[command]
+        r = CliRunner().invoke(main, args + ["--split", "100"])
+        assert r.exit_code == 2, r.output
+        assert "'--split'" in r.output and "CSV files only" in r.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("label", ["inf", "2", "0.5"])
+    def test_csv_label_not_0_or_1(self, tmp_path, label):
+        data = tmp_path / "s.csv"
+        labels = ["0"] * 40
+        labels[30], labels[31] = "1", label
+        data.write_text("value,label\n" + "".join(
+            f"{np.sin(i / 3):.6f},{lab}\n" for i, lab in enumerate(labels)))
+        scores = tmp_path / "s.scores.csv"
+        scores.write_text("index,score,smoothed\n" +
+                          "".join(f"{i},{i / 20},{i / 20}\n" for i in range(20)))
+        r = CliRunner().invoke(main, ["eval", "--scores", str(scores),
+                                      "--data", str(data)])
+        assert r.exit_code == 3, r.output
+        assert f"error: {data}: line 33: label '{label}' is not 0 or 1" in r.output
         assert "Traceback" not in r.output

@@ -173,11 +173,31 @@ class TestLoadCsv:
         with pytest.raises(DataError):
             load_csv(str(p))
 
+    def test_float_spelled_labels(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_text("value,label\n1.0,0.0\n2.0,1.0\n3.0, 1\n4.0,0\n")
+        assert load_csv(str(p)).labels.tolist() == [0, 1, 1, 0]
+
+    @pytest.mark.parametrize("label", ["inf", "-inf", "nan", "2", "0.5", "-1", "1e300"])
+    def test_label_not_0_or_1(self, tmp_path, label):
+        p = tmp_path / "s.csv"
+        p.write_text(f"value,label\n1.0,0\n2.0,1\n3.0,{label}\n4.0,0\n")
+        with pytest.raises(DataError) as e:
+            load_csv(str(p))
+        assert str(e.value) == f"{p}: line 4: label {label!r} is not 0 or 1"
+
+    def test_label_not_a_number(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_text("value,label\n1.0,0\n2.0,yes\n")
+        with pytest.raises(DataError, match="bad row at line 3"):
+            load_csv(str(p))
+
 
 @pytest.mark.parametrize("name, load, body", [
     ("x_2_3_3.txt", load_ucr, b"1.0\n2.0\n3.\xff\n4.0\n"),
     ("s.csv", load_csv, b"value\n1.0\n2.0\n3.\xff\n4.0\n"),
-], ids=["ucr", "csv"])
+    ("list.txt", read_manifest, b"a_1_2_2.txt\n\xff_1_2_2.txt\n"),
+], ids=["ucr", "csv", "manifest"])
 def test_not_utf8_is_data_error(tmp_path, name, load, body):
     p = tmp_path / name
     p.write_bytes(body)
@@ -293,6 +313,23 @@ class TestWindowing:
             for o in window_origins(region, T, stride):
                 covered[o:o + T] = True
             assert covered.all()
+
+    @settings(max_examples=150, deadline=None)
+    @given(T=st.integers(1, 60), extra=st.integers(0, 200),
+           stride_draw=st.integers(0, 10**6), phase=st.integers(0, 100))
+    def test_coverage_property(self, T, extra, stride_draw, phase):
+        # for any stride up to T, every point from the first origin on is
+        # covered, so phase 0 (the inference setting) covers the whole region
+        region, stride = T + extra, 1 + stride_draw % T
+        origins = window_origins(region, T, stride, phase)
+        assert origins[0] == min(phase, region - T)
+        assert origins[-1] == region - T
+        assert (np.diff(origins) > 0).all() and (np.diff(origins) <= stride).all()
+        covered = np.zeros(region, dtype=bool)
+        for o in origins:
+            covered[o:o + T] = True
+        assert covered[origins[0]:].all()
+        assert window_origins(region, T, stride)[0] == 0
 
     def test_phase_covers_everything_after_phase(self):
         covered = np.zeros(64, dtype=bool)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coopad.data import DataError
+from coopad.data import DataError, window_origins
 from coopad.model import CoopConfig, CoopModel
 from coopad.score import (detect, pointwise_scores, read_scores_csv, smooth,
                           stitch, write_scores_csv)
@@ -59,6 +61,23 @@ class TestStitch:
         with pytest.raises(ValueError):
             stitch(np.ones((1, 2)), [0], 4)
 
+    @settings(max_examples=80, deadline=None)
+    @given(T=st.integers(1, 40), extra=st.integers(0, 120),
+           stride_draw=st.integers(0, 10**6), seed=st.integers(0, 2**32 - 1))
+    def test_per_point_mean_oracle(self, T, extra, stride_draw, seed):
+        length = T + extra
+        origins = window_origins(length, T, 1 + stride_draw % T)
+        ws = np.random.default_rng(seed).normal(size=(len(origins), T))
+        got, cov = stitch(ws, origins, length)
+        for i in range(length):
+            total, n = 0.0, 0
+            for w, o in zip(ws, origins):  # window order, as stitch adds
+                if o <= i < o + T:
+                    total += w[i - o]
+                    n += 1
+            assert cov[i] == n
+            assert got[i] == total / n
+
 
 class TestSmooth:
     def test_width_one_is_identity(self):
@@ -84,6 +103,15 @@ class TestSmooth:
         for i in range(30):
             lo, hi = max(0, i - 3), min(30, i + 4)
             assert np.isclose(got[i], x[lo:hi].mean(), atol=1e-12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 300), w=st.integers(-2, 320),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]), seed=st.integers(0, 2**32 - 1))
+    def test_centred_moving_average_oracle(self, n, w, scale, seed):
+        x = np.random.default_rng(seed).normal(0, scale, size=n)
+        half = max(w, 1) // 2  # width w, or w + 1 when w is even
+        want = np.array([x[max(0, i - half):i + half + 1].mean() for i in range(n)])
+        np.testing.assert_allclose(smooth(x, w), want, rtol=0, atol=1e-12 * scale * n)
 
 
 class TestDetect:

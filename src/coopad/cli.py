@@ -134,9 +134,10 @@ def cmd_train(data_path, out_dir, seed, epochs, lr, batch, lam, hidden, layers,
 def load_run(run_dir):
     """Rebuild a trained model from a run directory (config.json + model.ckpt).
 
-    Returns (model, train-region NormalizationStats). Raises CheckpointError
-    when config.json is not valid JSON, lacks a field or holds a bad value,
-    or the checkpoint's config block, tensor names or shapes do not match it."""
+    Returns (model, train-region NormalizationStats, the train/test split
+    train recorded, or None). Raises CheckpointError when config.json is not
+    valid JSON, lacks a field or holds a bad value, or the checkpoint's
+    config block, tensor names or shapes do not match it."""
     cfg_path = os.path.join(run_dir, "config.json")
     ckpt_path = os.path.join(run_dir, "model.ckpt")
     if not os.path.exists(cfg_path) or not os.path.exists(ckpt_path):
@@ -148,6 +149,9 @@ def load_run(run_dir):
         model = CoopModel(config, seed=run_cfg["train"]["seed"])
         stats = NormalizationStats(float(run_cfg["data"]["norm_mean"]),
                                    float(run_cfg["data"]["norm_std"]))
+        split = run_cfg["data"].get("split")
+        if split is not None and type(split) is not int:
+            raise ValueError(f"split must be an integer, not {split!r}")
     except KeyError as e:
         raise CheckpointError(f"{cfg_path}: missing field {e}") from e
     except (ValueError, TypeError) as e:
@@ -165,7 +169,7 @@ def load_run(run_dir):
     except (KeyError, ValueError) as e:
         raise CheckpointError(f"{ckpt_path}: {e}") from e
     model.hard_threshold = run_cfg.get("hard_threshold")
-    return model, stats
+    return model, stats, split
 
 
 @main.command("detect")
@@ -173,10 +177,13 @@ def load_run(run_dir):
 @click.option("--data", "data_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--scoring", default=None, type=click.Choice(SCORINGS))
-@click.option("--split", default=None, type=int)
+@click.option("--split", default=None, type=int,
+              help="CSV train/test split index; defaults to the one train recorded")
 def cmd_detect(run_dir, data_path, out_path, scoring, split):
     """Score the test region of a dataset; writes a scores CSV."""
-    model, stats = load_run(run_dir)
+    model, stats, train_split = load_run(run_dir)
+    if split is None and data_path.endswith(".csv"):
+        split = train_split
     series = _load_series(data_path, split)
     test = zscore(series.values, stats)[series.split:]
     result = score.detect(test, model, scoring=scoring)

@@ -15,6 +15,11 @@ always boxcar. Ablation behavior is selected by four config flags: masking
 strategy, classification granularity, branch fusion and scoring; the
 default configuration is soft masking, patch granularity, max fusion,
 joint scoring.
+
+The frequency branch reads per-patch STFT features framed straight from
+each window (`spectral.stft_apply` with the model's patch kernel). The
+backward pass maps their gradient to the reconstruction through the dense
+operator's transpose, `stft_mat`, its only use.
 """
 
 from __future__ import annotations
@@ -167,7 +172,8 @@ class CoopModel:
         if c.fusion == "feat_gate":
             t["w_gate"] = uniform_init(rng, c.H, 2 * c.H)
             t["b_gate"] = np.zeros(c.H)
-        self.stft_mat = spectral.stft_matrix(c.T, c.frame_len, c.K)
+        self.stft_kernel = spectral.stft_patch_kernel(c.P, c.frame_len, c.K)
+        self.stft_mat = spectral.stft_matrix(c.T, c.frame_len, c.K)  # backward only
         self.hard_threshold = None  # calibrated during training
 
     def num_params(self):
@@ -231,23 +237,22 @@ class CoopModel:
         """Time and frequency branch encoders over windows x (B, T).
 
         Returns (h_t, h_f, cache): top-layer GRU states (N, B, H) of each
-        branch, and what _encode_backward needs (GRU caches are None when
-        keep_cache is false).
+        branch, and what _encode_backward needs. The frequency features come
+        from the patch windows through the STFT patch kernel; when
+        keep_cache is false the cache holds neither them nor GRU caches.
         """
         c = self.config
         t = self.tensors
-        B = x.shape[0]
-        n, p = c.N, c.P
-        patches = x.reshape(B, n, p).transpose(1, 0, 2)             # (N,B,P)
-        spec = spectral.stft_apply(self.stft_mat, x, c.K)           # (B,2K,T)
-        fpat = spec.reshape(B, 2 * c.K, n, p).transpose(2, 0, 3, 1) \
-                   .reshape(n, B, p * 2 * c.K)                      # (N,B,2KP)
+        patches = x.reshape(x.shape[0], c.N, c.P).transpose(1, 0, 2)  # (N,B,P)
+        fpat = spectral.stft_apply(self.stft_kernel, x, c.P)          # (N,B,2KP)
         h_t, gru_t = self.gru_time.forward(patches @ t["w_time_patch"].T,
                                            keep_cache=keep_cache)
         h_f, gru_f = self.gru_freq.forward(fpat @ t["w_freq_patch"].T,
                                            keep_cache=keep_cache)
-        return h_t, h_f, {"patches": patches, "fpat": fpat,
-                          "gru_t": gru_t, "gru_f": gru_f}
+        cache = {"patches": patches, "gru_t": gru_t, "gru_f": gru_f}
+        if keep_cache:
+            cache["fpat"] = fpat
+        return h_t, h_f, cache
 
     def _classify(self, ht_tilde, hf_tilde):
         """Branch heads + fusion. Returns (A_t, A_f, A, cache)."""

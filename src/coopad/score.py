@@ -71,8 +71,11 @@ def detect(test_values, model, scoring=None, batch=256):
     the stride is fixed. A centered moving average of the config's
     smooth_window width (P when that is 0) follows; `smooth` rounds an even
     width up to odd, so a config made by CoopConfig.for_period smooths over
-    period + 1 points for an even period and period + 2 for an odd one. `batch` windows go
-    through the model at a time; the scores do not depend on it.
+    period + 1 points for an even period and period + 2 for an odd one.
+    `batch` windows go through the model at a time. For a fixed batch the
+    scores are byte-reproducible; across batch sizes they agree to rounding
+    (BLAS blocks a product of a different row count differently), not bit
+    for bit.
     """
     c = model.config
     if scoring is None:

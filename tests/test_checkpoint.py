@@ -2,6 +2,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from coopad.checkpoint import (MAGIC, CheckpointError, load_checkpoint,
                                save_checkpoint)
@@ -25,6 +28,25 @@ def test_round_trip_bit_exact(tmp_path):
     for name, arr in tensors.items():
         got = loaded[name].reshape(arr.shape)
         assert got.tobytes() == np.asarray(arr, dtype="<f8").tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(tensors=st.dictionaries(
+    st.text(st.characters(codec="utf-8"), max_size=12),
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0,
+                                            max_side=5)),
+    max_size=6))
+def test_round_trip_random_names_and_shapes(tmp_path_factory, tensors):
+    # any float64 bytes (NaN payloads, -0.0, inf) and any UTF-8 name survive
+    p = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
+    save_checkpoint(str(p), CFG, tensors)
+    cfg, loaded = load_checkpoint(str(p))
+    assert cfg == CFG
+    assert sorted(loaded) == sorted(tensors)
+    for name, arr in tensors.items():
+        want = arr.reshape(1, -1) if arr.ndim == 1 else arr
+        assert loaded[name].shape == want.shape
+        assert loaded[name].tobytes() == want.astype("<f8").tobytes()
 
 
 def test_identical_bytes_for_identical_input(tmp_path):

@@ -150,6 +150,24 @@ class TestDetectEval:
         assert f"{scores}: {message}" in r.output
         assert "Traceback" not in r.output
 
+    def test_detect_csv_uses_the_recorded_split(self, tmp_path):
+        values, _ = gen_periodic(1600, 20, 0.05, (), seed=0)
+        data = tmp_path / "series.csv"
+        data.write_text("value\n" + "".join(f"{v!r}\n" for v in values.tolist()))
+        run = tmp_path / "run"
+        r = run_cli(["train", "--data", str(data), "--out", str(run), "--split", "1000",
+                     "--epochs", "1", "--batch", "4", "--hidden", "4", "--layers", "1"])
+        assert r.exit_code == 0, r.output
+        assert json.loads((run / "config.json").read_text())["data"]["split"] == 1000
+        out = tmp_path / "s.csv"
+        r = run_cli(["detect", "--run", str(run), "--data", str(data), "--out", str(out)])
+        assert r.exit_code == 0, r.output
+        assert "wrote 600 scores" in r.output
+        # an explicit --split still wins
+        r = run_cli(["detect", "--run", str(run), "--data", str(data), "--out", str(out),
+                     "--split", "800"])
+        assert "wrote 800 scores" in r.output
+
     def test_eval_requires_inputs(self):
         r = CliRunner().invoke(main, ["eval"])
         assert r.exit_code == 2
@@ -251,7 +269,10 @@ class TestRunDirChecks:
          "masking must be one of"),
         (lambda text: edit_json(text, lambda c: c.update(model=[])),
          "model settings must be an object, not list"),
-    ], ids=["invalid_json", "missing_norm_std", "unknown_masking", "model_not_object"])
+        (lambda text: edit_json(text, lambda c: c["data"].update(split=1.5)),
+         "split must be an integer, not 1.5"),
+    ], ids=["invalid_json", "missing_norm_std", "unknown_masking", "model_not_object",
+            "split_not_integer"])
     def test_malformed_config(self, dataset, run_dir, tmp_path, edit, message):
         run = copy_run(run_dir, tmp_path)
         cfg = run / "config.json"
@@ -376,6 +397,13 @@ class TestBench:
         r = run_cli(["bench", "--points", "2000", "--period", "20"])
         assert r.exit_code == 0, r.output
         assert "params=" in r.output
+        assert "points/s" in r.output
+
+    def test_wide_window_bench(self):
+        # period 500 gives T = 2000, the window detect_wide measures
+        r = run_cli(["bench", "--points", "6000", "--period", "500"])
+        assert r.exit_code == 0, r.output
+        assert "points=6000 T=2000" in r.output
         assert "points/s" in r.output
 
     @pytest.mark.parametrize("flag, value", [

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopad.metrics import (MetricError, aggregate_reports, anomaly_ranges,
                             auc_pr, average_anomaly_length, buffered_weights,
@@ -248,6 +250,31 @@ class TestVusPr:
         v = vus_pr(scores, labels)
         assert v > 0.7
         assert v > vus_pr(np.random.default_rng(6).normal(size=40), labels)
+
+
+class TestOrderInvariance:
+    """range_auc_pr and vus_pr read only the order of the scores and which
+    of them tie, so a map that keeps both leaves them bit for bit equal."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_power_of_two_scaling_and_dense_ranks(self, data):
+        n = data.draw(st.integers(4, 64), label="n")
+        labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                                    label="labels"))
+        labels[data.draw(st.integers(0, n - 1), label="positive")] = 1
+        value = st.one_of(  # small integers give heavy ties
+            st.integers(-3, 3).map(float),
+            st.floats(-1e3, 1e3, allow_subnormal=False).filter(
+                lambda v: v == 0 or abs(v) >= 1e-200))
+        scores = np.array(data.draw(st.lists(value, min_size=n, max_size=n), label="scores"))
+        scale = 2.0 ** data.draw(st.integers(-20, 20), label="log2 scale")
+        ranks = np.unique(scores, return_inverse=True)[1].astype(np.float64)
+        buffer = data.draw(st.integers(0, 6), label="buffer")
+        for mapped in (scores * scale, ranks):
+            assert range_auc_pr(mapped, labels, buffer=buffer) == \
+                range_auc_pr(scores, labels, buffer=buffer)
+            assert vus_pr(mapped, labels) == vus_pr(scores, labels)
 
 
 class TestOracleSweep:

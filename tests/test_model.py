@@ -256,6 +256,16 @@ class TestEncode:
         assert np.array_equal(res.cache["h_t"], h_t)
         assert np.array_equal(res.cache["h_f"], h_f)
 
+    def test_inference_cache_keeps_no_frequency_features(self):
+        # only backward reads the frequency features; an inference pass
+        # drops them with the GRU caches
+        m = small_model(seed=19)
+        _, _, enc = m._encode(batch(seed=20), keep_cache=False)
+        assert "fpat" not in enc
+        assert enc["gru_t"] is None and enc["gru_f"] is None
+        _, _, enc = m._encode(batch(seed=20), keep_cache=True)
+        assert enc["fpat"].shape == (4, 3, 4 * 2 * 2)
+
 
 # criterion 1 certifies patch granularity with max fusion under soft masking;
 # these are the other heads and fusions, then the other maskings at those heads

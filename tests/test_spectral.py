@@ -4,13 +4,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopad.model import CoopConfig, CoopModel
-from coopad.spectral import frame_len_for_period, stft_apply, stft_matrix
+from coopad.spectral import (frame_len_for_period, stft_apply, stft_matrix,
+                             stft_patch_kernel)
 
 
 def stft(x, K, frame_len):
-    """Spectrogram (2K, T) of one window through the dense operator."""
+    """Spectrogram (2K, T) of one window through the framed path the model
+    runs, with one frame per patch (P = 1)."""
     x = np.asarray(x, dtype=np.float64)
-    return stft_apply(stft_matrix(len(x), frame_len, K), x[None, :], K)[0]
+    return stft_apply(stft_patch_kernel(1, frame_len, K), x[None, :], 1)[:, 0, :].T
+
+
+def dense_patch_features(x, P, frame_len, K):
+    """Per-patch features (N, B, P*2K) of windows x (B, T): the dense
+    operator's spectrogram cut into patches, feature p*2K + k of patch n
+    being bin k of frame n*P + p."""
+    B, T = x.shape
+    spec = (x @ stft_matrix(T, frame_len, K).T).reshape(B, 2 * K, T // P, P)
+    return spec.transpose(2, 0, 3, 1).reshape(T // P, B, P * 2 * K)
 
 
 def naive_frame_dft(x, center, frame_len, K, window, T):
@@ -155,11 +166,11 @@ class TestStft:
     def test_batched_matches_single(self):
         rng = np.random.default_rng(3)
         xb = rng.normal(size=(3, 32))
-        M = stft_matrix(32, 8, 4)
-        batched = stft_apply(M, xb, 4)
+        kernel = stft_patch_kernel(4, 8, 4)
+        batched = stft_apply(kernel, xb, 4)
         for b in range(3):
             # BLAS may block a one-row product differently
-            assert np.allclose(batched[b], stft_apply(M, xb[b:b + 1], 4)[0],
+            assert np.allclose(batched[:, b], stft_apply(kernel, xb[b:b + 1], 4)[:, 0],
                                atol=1e-12)
 
     def test_validation(self):
@@ -169,6 +180,58 @@ class TestStft:
             stft_matrix(32, 8, 6)  # K too large
         with pytest.raises(ValueError):
             stft_matrix(4, 8, 3)  # window shorter than frame
+        with pytest.raises(ValueError):
+            stft_patch_kernel(4, 7, 3)  # odd frame
+        with pytest.raises(ValueError):
+            stft_patch_kernel(4, 8, 6)  # K too large
+        kernel = stft_patch_kernel(4, 8, 3)
+        with pytest.raises(ValueError):
+            stft_apply(kernel, np.zeros((1, 30)), 4)  # T not a multiple of P
+        with pytest.raises(ValueError):
+            stft_apply(kernel, np.zeros((1, 4)), 4)  # window shorter than frame
+
+
+class TestFramedFeatures:
+    """stft_apply against the dense operator's spectrogram cut into patches."""
+
+    # T == frame_len, frame_len < P, P == 1, K == frame_len/2 + 1, P == T,
+    # a single-sample reflection (frame_len 2) and frame_len 64, the largest
+    # frame_len_for_period gives
+    @pytest.mark.parametrize("T, P, frame_len, K", [
+        (8, 4, 8, 5), (16, 8, 8, 2), (32, 16, 8, 4), (48, 1, 12, 7),
+        (40, 8, 10, 6), (6, 6, 6, 4), (20, 1, 2, 2), (96, 12, 24, 13),
+        (800, 8, 64, 4)])
+    def test_matches_dense_operator(self, T, P, frame_len, K):
+        x = np.random.default_rng(T + P).normal(size=(3, T))
+        got = stft_apply(stft_patch_kernel(P, frame_len, K), x, P)
+        want = dense_patch_features(x, P, frame_len, K)
+        assert got.shape == want.shape == (T // P, 3, P * 2 * K)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_matches_dense_operator_property(self, data):
+        frame_len = 2 * data.draw(st.integers(1, 12), label="frame_len/2")
+        P = data.draw(st.integers(1, 16), label="P")
+        n_min = -(-frame_len // P)  # the fewest patches that reach frame_len
+        T = P * data.draw(st.integers(n_min, n_min + 6), label="T/P")
+        K = data.draw(st.integers(1, frame_len // 2 + 1), label="K")
+        B = data.draw(st.integers(1, 3), label="B")
+        x = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed")) \
+                     .normal(size=(B, T))
+        got = stft_apply(stft_patch_kernel(P, frame_len, K), x, P)
+        assert np.max(np.abs(got - dense_patch_features(x, P, frame_len, K))) <= 1e-12
+
+    def test_kernel_layout(self):
+        # column p*2K + k is bin k's weights shifted down by p rows
+        P, fl, K = 3, 4, 3
+        kernel = stft_patch_kernel(P, fl, K)
+        assert kernel.shape == (P + fl - 1, P * 2 * K)
+        single = stft_patch_kernel(1, fl, K)  # (fl, 2K): one frame's weights
+        for p in range(P):
+            block = kernel[:, p * 2 * K:(p + 1) * 2 * K]
+            assert np.array_equal(block[p:p + fl], single)
+            assert not block[:p].any() and not block[p + fl:].any()
 
 
 class TestPatching:

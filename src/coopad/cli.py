@@ -7,8 +7,9 @@ or --split given for a UCR file, whose name holds its split),
 values, a CSV label other than 0 or 1, a test region or bench series
 shorter than the window, a config.json that is not valid JSON or lacks a
 field, a model.ckpt that is truncated or does not match config.json, or a
-scores CSV for eval that is not UTF-8, has a wrong header or has a row
-that is not three numbers), 4 numeric failure (also non-finite detect
+scores CSV for eval that is not UTF-8, has a wrong header, a row that is
+not three numbers, a NaN or inf score or not one row per test point, or
+eval data without labels), 4 numeric failure (also non-finite detect
 scores, in which case no scores CSV is written). The command group maps
 errors to these codes in one place (`_Coopad.invoke`).
 Every run directory is self-describing: config.json plus the seed are
@@ -195,6 +196,24 @@ def cmd_detect(run_dir, data_path, out_path, scoring, split):
     click.echo(f"wrote {len(result.scores)} scores to {out_path}")
 
 
+def _eval_report(data_path, scores_path, split):
+    """Report dict of one dataset. A DataError names data_path when it has
+    no labels, and scores_path for a NaN or inf score (with its 1-based
+    line) or a row count other than the test region's length."""
+    series = _load_series(data_path, split)
+    labels = series.test_labels
+    if labels is None:
+        raise DataError(f"{data_path}: no labels to evaluate against")
+    scores, smoothed = score.read_scores_csv(scores_path)
+    bad = np.flatnonzero(~np.isfinite(scores) | ~np.isfinite(smoothed))
+    if bad.size:
+        raise DataError(f"{scores_path}: line {bad[0] + 2}: non-finite score")
+    if len(smoothed) != len(labels):
+        raise DataError(f"{scores_path}: {len(smoothed)} scores for "
+                        f"{len(labels)} test points in {data_path}")
+    return metrics.evaluate(smoothed, labels).to_dict(series.name)
+
+
 @main.command("eval")
 @click.option("--scores", "scores_path", type=click.Path(exists=True))
 @click.option("--data", "data_path", type=click.Path(exists=True))
@@ -209,23 +228,14 @@ def cmd_eval(scores_path, data_path, out_path, manifest_path, scores_dir, split)
     if manifest_path:
         reports = []
         for path in read_manifest(manifest_path):
-            series = _load_series(path, split)
             stem = os.path.basename(path).rsplit(".", 1)[0]
             spath = os.path.join(scores_dir, stem + ".scores.csv")
-            _, smoothed = score.read_scores_csv(spath)
-            rep = metrics.evaluate(smoothed, series.test_labels)
-            reports.append(rep.to_dict(series.name))
-        table = metrics.aggregate_reports(reports)
-        payload = {"mean": table, "per_dataset": reports}
+            reports.append(_eval_report(path, spath, split))
+        payload = {"mean": metrics.aggregate_reports(reports), "per_dataset": reports}
     else:
         if not scores_path or not data_path:
             raise click.UsageError("--scores and --data required without --aggregate")
-        series = _load_series(data_path, split)
-        _, smoothed = score.read_scores_csv(scores_path)
-        if series.test_labels is None:
-            raise DataError(f"{data_path}: no labels to evaluate against")
-        rep = metrics.evaluate(smoothed, series.test_labels)
-        payload = rep.to_dict(series.name)
+        payload = _eval_report(data_path, scores_path, split)
     text = json.dumps(payload, indent=2, sort_keys=True)
     if out_path:
         with open(out_path, "w") as f:

@@ -234,10 +234,12 @@ def window_origins(region_len, T, stride, phase=0):
     return np.asarray(origins, dtype=np.int64)
 
 
-def make_windows(values, T, stride):
+def make_windows(values, T, origins):
+    """The (B, T) windows of `values` that start at `origins`, one copy.
+    Training and detect cut each batch here, so neither holds more."""
     values = np.asarray(values, dtype=np.float64)
-    origins = window_origins(len(values), T, stride)
-    windows = np.stack([values[o:o + T] for o in origins])
+    origins = np.asarray(origins, dtype=np.int64)
+    windows = np.lib.stride_tricks.sliding_window_view(values, T)[origins]
     return WindowBatch(windows=windows, origins=origins)
 
 

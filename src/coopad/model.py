@@ -97,8 +97,6 @@ class PatchProbabilities:
     time: np.ndarray       # A_t, (N, B)
     freq: np.ndarray       # A_f
     fused: np.ndarray      # A
-    resid_time: np.ndarray
-    resid_freq: np.ndarray
     resid: np.ndarray      # A^r
     combined: np.ndarray   # A_c = (A + A^r) / 2
 
@@ -107,7 +105,6 @@ class PatchProbabilities:
 class ForwardResult:
     probs: PatchProbabilities
     x_r: np.ndarray         # (B, T)
-    e_m: np.ndarray         # (N, B, H) soft-masked embeddings
     cache: dict | None = field(default=None, repr=False)
 
 
@@ -156,9 +153,9 @@ class CoopModel:
         t["w_freq_patch"] = uniform_init(rng, c.H, fdim)
         t["w_mask_proj"] = uniform_init(rng, c.H, c.P)
         t["e_mask"] = uniform_init(rng, c.H, c.N, fan_in=c.H)
-        self.gru_time = GruStack(c.H, c.H, c.layers, rng)
-        self.gru_freq = GruStack(c.H, c.H, c.layers, rng)
-        self.gru_recon = GruStack(c.H, c.H, c.layers, rng)
+        self.gru_time = GruStack(c.H, c.layers, rng)
+        self.gru_freq = GruStack(c.H, c.layers, rng)
+        self.gru_recon = GruStack(c.H, c.layers, rng)
         t.update(self.gru_time.tensors("gru_time"))
         t.update(self.gru_freq.tensors("gru_freq"))
         t.update(self.gru_recon.tensors("gru_recon"))
@@ -216,12 +213,11 @@ class CoopModel:
         # residual pass: encode the reconstruction with the same encoders,
         # classify the differences with one shared patch head, max-fused
         h_t, h_f, enc_r = self._encode(x_r, keep_cache)
-        a_tr, a_fr, a_r, resid_cache = self._two_heads(
+        _, _, a_r, resid_cache = self._two_heads(
             ht_tilde - h_t, hf_tilde - h_f, ("resid", "resid"), "patch", "max")
         a_c = 0.5 * (a_fused + a_r)
 
         probs = PatchProbabilities(time=a_t, freq=a_f, fused=a_fused,
-                                   resid_time=a_tr, resid_freq=a_fr,
                                    resid=a_r, combined=a_c)
         cache = None
         if keep_cache:
@@ -231,7 +227,7 @@ class CoopModel:
                 "cls": cls_cache, "resid": resid_cache, "coeff": coeff,
                 "grad_through_mask": grad_through_mask, "z": z,
             }
-        return ForwardResult(probs=probs, x_r=x_r, e_m=e_m, cache=cache)
+        return ForwardResult(probs=probs, x_r=x_r, cache=cache)
 
     def _encode(self, x, keep_cache=True):
         """Time and frequency branch encoders over windows x (B, T).

@@ -48,17 +48,13 @@ def uniform_init(rng, rows, cols, fan_in=None):
 
 
 class GruLayerParams:
-    """One GRU layer: stacked (z, r, n) input/hidden weights and biases."""
+    """One GRU layer: stacked (z, r, n) input/hidden weights and biases,
+    input and hidden size both `hidden`."""
 
-    def __init__(self, in_dim, hidden, rng=None):
-        self.in_dim = in_dim
+    def __init__(self, hidden, rng):
         self.hidden = hidden
-        if rng is None:
-            self.wx = np.zeros((3 * hidden, in_dim))
-            self.wh = np.zeros((3 * hidden, hidden))
-        else:
-            self.wx = uniform_init(rng, 3 * hidden, in_dim)
-            self.wh = uniform_init(rng, 3 * hidden, hidden)
+        self.wx = uniform_init(rng, 3 * hidden, hidden)
+        self.wh = uniform_init(rng, 3 * hidden, hidden)
         self.bx = np.zeros(3 * hidden)
         self.bh = np.zeros(3 * hidden)
 
@@ -67,17 +63,14 @@ class GruLayerParams:
 
 
 class GruStack:
-    """Stack of GRU layers sharing hidden size; layer 0 consumes in_dim."""
+    """Stack of GRU layers whose inputs and states all have size hidden."""
 
-    def __init__(self, in_dim, hidden, layers, rng=None):
-        self.layers = [
-            GruLayerParams(in_dim if i == 0 else hidden, hidden, rng)
-            for i in range(layers)
-        ]
+    def __init__(self, hidden, layers, rng):
+        self.layers = [GruLayerParams(hidden, rng) for _ in range(layers)]
         self.hidden = hidden
 
     def forward(self, inputs, keep_cache=True):
-        """Run the stack over inputs (steps, batch, in_dim).
+        """Run the stack over inputs (steps, batch, hidden).
 
         Returns (outputs, cache): outputs are the top layer's hidden states,
         cache holds per-layer gate activations needed for backward, or is
@@ -88,10 +81,8 @@ class GruStack:
             raise ValueError("gru forward expects (steps, batch, dim) input")
         if inputs.shape[0] < 1:
             raise ValueError("sequence length must be >= 1")
-        if inputs.shape[2] != self.layers[0].in_dim:
-            raise ValueError(
-                f"input dim {inputs.shape[2]} != layer-0 in_dim {self.layers[0].in_dim}"
-            )
+        if inputs.shape[2] != self.hidden:
+            raise ValueError(f"input dim {inputs.shape[2]} != hidden {self.hidden}")
         cache = [] if keep_cache else None
         x = inputs
         for layer in self.layers:

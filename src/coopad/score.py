@@ -6,7 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError, make_windows, open_text
+from .data import DataError, make_windows, open_text, window_origins
+
+BATCH = 256  # windows per forward pass in detect
 
 
 @dataclass
@@ -32,17 +34,14 @@ def pointwise_scores(x_windows, result, scoring="joint"):
     raise ValueError(f"unknown scoring mode {scoring!r}")
 
 
-def stitch(window_scores, origins, length):
-    """Average overlapping window scores into one series of `length`."""
-    total = np.zeros(length)
-    coverage = np.zeros(length, dtype=np.int64)
+def stitch(window_scores, origins, total, coverage):
+    """Add one batch's window scores (B, T) into detect's running per-point
+    totals and coverage counts, in window order: the additions stitching
+    every window at once makes, without holding every window's scores."""
     T = window_scores.shape[1]
     for ws, o in zip(window_scores, origins):
         total[o:o + T] += ws
         coverage[o:o + T] += 1
-    if (coverage == 0).any():
-        raise ValueError("stitching left uncovered points")
-    return total / coverage, coverage
 
 
 def smooth(scores, w):
@@ -61,7 +60,7 @@ def smooth(scores, w):
     return (csum[hi] - csum[lo]) / (hi - lo)
 
 
-def detect(test_values, model, scoring=None, batch=256):
+def detect(test_values, model, scoring=None):
     """Score a test region with a trained model.
 
     Windows slide at stride T/4 (right-aligned final window) so every point
@@ -72,24 +71,24 @@ def detect(test_values, model, scoring=None, batch=256):
     smooth_window width (P when that is 0) follows; `smooth` rounds an even
     width up to odd, so a config made by CoopConfig.for_period smooths over
     period + 1 points for an even period and period + 2 for an odd one.
-    `batch` windows go through the model at a time. For a fixed batch the
-    scores are byte-reproducible; across batch sizes they agree to rounding
-    (BLAS blocks a product of a different row count differently), not bit
-    for bit.
+    Windows are cut, scored and stitched BATCH (a constant) at a time, so
+    memory is the result plus one batch's forward pass at any length; the
+    scores are byte-reproducible.
     """
     c = model.config
     if scoring is None:
         scoring = c.scoring
-    wb = make_windows(test_values, c.T, stride=max(1, c.T // 4))
-    pieces = []
-    for start in range(0, len(wb.windows), batch):
-        xb = wb.windows[start:start + batch]
-        result = model.forward(xb)
-        pieces.append(pointwise_scores(xb, result, scoring))
-    all_scores = np.concatenate(pieces, axis=0)
-    stitched, coverage = stitch(all_scores, wb.origins, len(test_values))
+    n = len(test_values)
+    origins = window_origins(n, c.T, stride=max(1, c.T // 4))
+    total = np.zeros(n)
+    coverage = np.zeros(n, dtype=np.int64)
+    for start in range(0, len(origins), BATCH):
+        wb = make_windows(test_values, c.T, origins[start:start + BATCH])
+        window_scores = pointwise_scores(wb.windows, model.forward(wb.windows), scoring)
+        stitch(window_scores, wb.origins, total, coverage)
+    total /= coverage  # window_origins covers every point
     smooth_width = c.smooth_window if c.smooth_window > 0 else c.P
-    return ScoreSeries(scores=stitched, smoothed=smooth(stitched, smooth_width),
+    return ScoreSeries(scores=total, smoothed=smooth(total, smooth_width),
                        coverage=coverage)
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .augment import distort
-from .data import DataError, window_origins
+from .data import DataError, make_windows, window_origins
 from .numerics import AdamState, adam_step
 
 PROB_CLAMP = 1e-7
@@ -113,7 +113,7 @@ def train_epoch(train_values, period, model, tcfg, adam, rng):
     nb = 0
     for start in range(0, len(order), tcfg.batch):
         idx = order[start:start + tcfg.batch]
-        clean = np.stack([train_values[o:o + T] for o in origins[idx]])
+        clean = make_windows(train_values, T, origins[idx]).windows
         distorted = np.empty_like(clean)
         labels = np.empty((len(idx), c.N), dtype=np.int8)
         for j in range(len(idx)):

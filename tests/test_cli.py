@@ -150,6 +150,43 @@ class TestDetectEval:
         assert f"{scores}: {message}" in r.output
         assert "Traceback" not in r.output
 
+    @pytest.mark.parametrize("value", ["nan", "-inf"])
+    @pytest.mark.parametrize("aggregate", [False, True], ids=["single", "aggregate"])
+    def test_eval_non_finite_score(self, dataset, tmp_path, value, aggregate):
+        stem = dataset["path"].rsplit("/", 1)[-1].rsplit(".", 1)[0]
+        scores = tmp_path / (stem + ".scores.csv")
+        rows = [f"{i},0.5,0.5\n" for i in range(800)]
+        rows[5] = f"5,{value},0.5\n"
+        scores.write_text("index,score,smoothed\n" + "".join(rows))
+        args = (["--aggregate", dataset["manifest"], "--scores-dir", str(tmp_path)]
+                if aggregate else ["--scores", str(scores), "--data", dataset["path"]])
+        r = CliRunner().invoke(main, ["eval", *args])
+        assert r.exit_code == 3, r.output
+        assert f"error: {scores}: line 7: non-finite score" in r.output
+
+    def test_eval_scores_length_mismatch(self, dataset, tmp_path):
+        scores = tmp_path / "s.csv"
+        scores.write_text("index,score,smoothed\n"
+                          + "".join(f"{i},0.5,0.5\n" for i in range(799)))
+        r = CliRunner().invoke(main, ["eval", "--scores", str(scores),
+                                      "--data", dataset["path"]])
+        assert r.exit_code == 3, r.output
+        assert (f"error: {scores}: 799 scores for 800 test points in "
+                f"{dataset['path']}") in r.output
+
+    def test_eval_aggregate_without_labels(self, tmp_path):
+        values, _ = gen_periodic(400, 20, 0.05, (), seed=0)
+        data = tmp_path / "series.csv"
+        data.write_text("value\n" + "".join(f"{v!r}\n" for v in values.tolist()))
+        manifest = tmp_path / "list.txt"
+        manifest.write_text(f"{data}\n")
+        (tmp_path / "series.scores.csv").write_text(
+            "index,score,smoothed\n" + "".join(f"{i},0.5,0.5\n" for i in range(200)))
+        r = CliRunner().invoke(main, ["eval", "--aggregate", str(manifest),
+                                      "--scores-dir", str(tmp_path)])
+        assert r.exit_code == 3, r.output
+        assert f"error: {data}: no labels to evaluate against" in r.output
+
     def test_detect_csv_uses_the_recorded_split(self, tmp_path):
         values, _ = gen_periodic(1600, 20, 0.05, (), seed=0)
         data = tmp_path / "series.csv"

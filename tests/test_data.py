@@ -339,8 +339,11 @@ class TestWindowing:
 
     def test_make_windows_content(self):
         values = np.arange(50.0)
-        batch = make_windows(values, 16, 16)
-        assert batch.windows.shape == (len(batch.origins), 16)
+        origins = window_origins(len(values), 16, 16)[[2, 0, 3]]
+        batch = make_windows(values, 16, origins)
+        assert batch.origins.tolist() == origins.tolist()
+        assert batch.windows.shape == (3, 16)
+        assert batch.windows.flags.c_contiguous and batch.windows.flags.owndata
         for w, o in zip(batch.windows, batch.origins):
             assert np.array_equal(w, values[o:o + 16])
 

@@ -101,17 +101,17 @@ class TestMasking:
         em_tok = m.tensors["e_mask"].T[:, None, :]
         z = cache["z"]
         coeff = cache["coeff"][..., None]
-        assert np.allclose(res.e_m, coeff * em_tok + (1 - coeff) * z,
-                           atol=1e-12)
+        e_m = cache["cache_r"][0]["inputs"]  # what the recon GRU read
+        assert np.allclose(e_m, coeff * em_tok + (1 - coeff) * z, atol=1e-12)
 
 
 class TestForward:
     def test_shapes(self):
         m = small_model()
-        res = m.forward(batch(B=5))
+        res = m.forward(batch(B=5), keep_cache=True)
         N, B = m.config.N, 5
         assert res.x_r.shape == (B, 16)
-        assert res.e_m.shape == (N, B, 3)
+        assert res.cache["cache_r"][0]["inputs"].shape == (N, B, 3)
         for arr in (res.probs.time, res.probs.freq, res.probs.fused,
                     res.probs.resid, res.probs.combined):
             assert arr.shape == (N, B)

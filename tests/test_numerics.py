@@ -64,23 +64,26 @@ def scalar_gru_reference(layer, inputs):
 
 class TestGruForward:
     def test_zero_weights_zero_output(self):
-        stack = GruStack(2, 3, layers=2)  # no rng -> all-zero weights
-        x = np.random.default_rng(2).normal(size=(5, 2, 2))
+        stack = GruStack(3, layers=2, rng=np.random.default_rng(1))
+        for layer in stack.layers:
+            for v in layer.tensors().values():
+                v[...] = 0.0
+        x = np.random.default_rng(2).normal(size=(5, 2, 3))
         out, _ = stack.forward(x)
         assert np.array_equal(out, np.zeros_like(out))
 
     def test_length_one_is_single_step(self):
         rng = np.random.default_rng(3)
-        stack = GruStack(2, 3, layers=1, rng=rng)
-        x = np.random.default_rng(4).normal(size=(1, 1, 2))
+        stack = GruStack(3, layers=1, rng=rng)
+        x = np.random.default_rng(4).normal(size=(1, 1, 3))
         out, _ = stack.forward(x)
         ref = scalar_gru_reference(stack.layers[0], x)
         assert np.allclose(out, ref, atol=1e-12)
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(5)
-        stack = GruStack(3, 4, layers=1, rng=rng)
-        x = np.random.default_rng(6).normal(size=(7, 2, 3))
+        stack = GruStack(4, layers=1, rng=rng)
+        x = np.random.default_rng(6).normal(size=(7, 2, 4))
         out, _ = stack.forward(x)
         ref = scalar_gru_reference(stack.layers[0], x)
         assert np.allclose(out, ref, atol=1e-12)
@@ -89,21 +92,21 @@ class TestGruForward:
         # zero initial state is in (-1,1); every new state is a convex blend
         # of a tanh value and the previous state
         rng = np.random.default_rng(7)
-        stack = GruStack(2, 5, layers=3, rng=rng)
-        x = np.random.default_rng(8).uniform(-10, 10, size=(50, 4, 2))
+        stack = GruStack(5, layers=3, rng=rng)
+        x = np.random.default_rng(8).uniform(-10, 10, size=(50, 4, 5))
         out, _ = stack.forward(x)
         assert np.all(np.abs(out) < 1.0)
         assert np.all(np.isfinite(out))
 
     def test_shape_errors(self):
-        stack = GruStack(2, 3, layers=1)
+        stack = GruStack(3, layers=1, rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
             stack.forward(np.zeros((4, 2, 5)))
 
     def test_no_cache_same_output_bytes(self):
         rng = np.random.default_rng(15)
-        stack = GruStack(3, 5, layers=3, rng=rng)
-        x = np.random.default_rng(16).normal(size=(9, 4, 3))
+        stack = GruStack(5, layers=3, rng=rng)
+        x = np.random.default_rng(16).normal(size=(9, 4, 5))
         cached, cache = stack.forward(x)
         out, none = stack.forward(x, keep_cache=False)
         assert none is None
@@ -152,11 +155,11 @@ class TestGruBackward:
     @pytest.mark.parametrize("steps, batch", [(1, 3), (2, 1), (30, 5)])
     def test_matches_per_step_oracle(self, steps, batch):
         rng = np.random.default_rng(17)
-        stack = GruStack(4, 6, layers=2, rng=rng)
+        stack = GruStack(6, layers=2, rng=rng)
         for layer in stack.layers:
             layer.bx[:] = rng.normal(size=layer.bx.shape)
             layer.bh[:] = rng.normal(size=layer.bh.shape)
-        x = np.random.default_rng(18).normal(size=(steps, batch, 4))
+        x = np.random.default_rng(18).normal(size=(steps, batch, 6))
         out, cache = stack.forward(x)
         d_out = np.random.default_rng(19).normal(size=out.shape)
         dx, grads = stack.backward(cache, d_out)
@@ -171,8 +174,8 @@ class TestGruBackward:
 
     def test_zero_upstream_zero_grads(self):
         rng = np.random.default_rng(9)
-        stack = GruStack(2, 3, layers=2, rng=rng)
-        x = np.random.default_rng(10).normal(size=(4, 2, 2))
+        stack = GruStack(3, layers=2, rng=rng)
+        x = np.random.default_rng(10).normal(size=(4, 2, 3))
         out, cache = stack.forward(x)
         dx, grads = stack.backward(cache, np.zeros_like(out))
         assert np.array_equal(dx, np.zeros_like(dx))
@@ -183,7 +186,7 @@ class TestGruBackward:
     def test_single_step_single_unit_chain_rule(self):
         # H=1, one step: dL/dh with L = h; compare to symbolic derivative
         rng = np.random.default_rng(11)
-        stack = GruStack(1, 1, layers=1, rng=rng)
+        stack = GruStack(1, layers=1, rng=rng)
         layer = stack.layers[0]
         x = np.array([[[0.7]]])
         out, cache = stack.forward(x)
@@ -203,8 +206,8 @@ class TestGruBackward:
 
     def test_finite_difference(self):
         rng = np.random.default_rng(12)
-        stack = GruStack(2, 3, layers=2, rng=rng)
-        x = np.random.default_rng(13).normal(size=(5, 2, 2))
+        stack = GruStack(3, layers=2, rng=rng)
+        x = np.random.default_rng(13).normal(size=(5, 2, 3))
         target = np.random.default_rng(14).normal(size=(5, 2, 3))
 
         def loss():
@@ -225,8 +228,8 @@ class TestGruBackward:
         assert max(report.values()) < 1e-4
 
     def test_cache_mismatch(self):
-        stack = GruStack(2, 3, layers=1)
-        x = np.zeros((4, 1, 2))
+        stack = GruStack(3, layers=1, rng=np.random.default_rng(0))
+        x = np.zeros((4, 1, 3))
         _, cache = stack.forward(x)
         with pytest.raises(ValueError):
             stack.backward(cache, np.zeros((3, 1, 3)))

@@ -1,12 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopad.data import DataError, window_origins
+from coopad.data import DataError, make_windows, window_origins
 from coopad.model import CoopConfig, CoopModel
-from coopad.score import (detect, pointwise_scores, read_scores_csv, smooth,
-                          stitch, write_scores_csv)
+from coopad.score import (BATCH, detect, pointwise_scores, read_scores_csv,
+                          smooth, stitch, write_scores_csv)
 
 
 def small_model(seed=0, **overrides):
@@ -44,31 +46,46 @@ class TestPointwiseScores:
             pointwise_scores(xb, m.forward(xb), "hybrid")
 
 
+def stitched(window_scores, origins, length, batch=None):
+    """Per-point mean and coverage of window scores, stitched `batch`
+    windows at a time into running totals (all at once by default)."""
+    total = np.zeros(length)
+    coverage = np.zeros(length, dtype=np.int64)
+    batch = batch or max(len(origins), 1)
+    for s in range(0, len(origins), batch):
+        stitch(window_scores[s:s + batch], origins[s:s + batch], total, coverage)
+    return total / coverage, coverage
+
+
 class TestStitch:
     def test_disjoint_windows(self):
         ws = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out, cov = stitch(ws, [0, 2], 4)
+        out, cov = stitched(ws, [0, 2], 4)
         assert out.tolist() == [1, 2, 3, 4]
         assert cov.tolist() == [1, 1, 1, 1]
 
     def test_overlap_averages(self):
         ws = np.array([[1.0, 1.0, 1.0], [3.0, 3.0, 3.0]])
-        out, cov = stitch(ws, [0, 2], 5)
+        out, cov = stitched(ws, [0, 2], 5)
         assert out.tolist() == [1, 1, 2, 3, 3]
         assert cov.tolist() == [1, 1, 2, 1, 1]
 
-    def test_uncovered_raises(self):
-        with pytest.raises(ValueError):
-            stitch(np.ones((1, 2)), [0], 4)
+    def test_adds_only_inside_windows(self):
+        total = np.full(4, 0.5)
+        coverage = np.zeros(4, dtype=np.int64)
+        stitch(np.ones((1, 2)), [1], total, coverage)
+        assert total.tolist() == [0.5, 1.5, 1.5, 0.5]
+        assert coverage.tolist() == [0, 1, 1, 0]
 
     @settings(max_examples=80, deadline=None)
     @given(T=st.integers(1, 40), extra=st.integers(0, 120),
-           stride_draw=st.integers(0, 10**6), seed=st.integers(0, 2**32 - 1))
-    def test_per_point_mean_oracle(self, T, extra, stride_draw, seed):
+           stride_draw=st.integers(0, 10**6), batch=st.integers(1, 8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_per_point_mean_oracle(self, T, extra, stride_draw, batch, seed):
         length = T + extra
         origins = window_origins(length, T, 1 + stride_draw % T)
         ws = np.random.default_rng(seed).normal(size=(len(origins), T))
-        got, cov = stitch(ws, origins, length)
+        got, cov = stitched(ws, origins, length, batch)
         for i in range(length):
             total, n = 0.0, 0
             for w, o in zip(ws, origins):  # window order, as stitch adds
@@ -133,11 +150,36 @@ class TestDetect:
         assert np.array_equal(a.smoothed, b.smoothed)
 
     def test_batching_invariance(self):
+        # more windows than one batch: detect's batches stitch to what
+        # scoring each window on its own gives, to rounding
         m = small_model(seed=7)
-        x = np.random.default_rng(8).normal(size=300)
-        a = detect(x, m, batch=2)
-        b = detect(x, m, batch=256)
-        assert np.allclose(a.scores, b.scores, atol=1e-12)
+        x = np.random.default_rng(8).normal(size=8 * BATCH + 40)
+        origins = window_origins(len(x), 16, 4)
+        assert len(origins) > 2 * BATCH
+        wb = make_windows(x, 16, origins)
+        singles = np.concatenate([pointwise_scores(w[None], m.forward(w[None]))
+                                  for w in wb.windows])
+        want, cov = stitched(singles, origins, len(x))
+        got = detect(x, m)
+        assert np.array_equal(got.coverage, cov)
+        assert np.allclose(got.scores, want, rtol=0, atol=1e-12)
+
+    def test_memory_grows_with_the_result_only(self):
+        # detect holds the result (24 bytes a point) plus one batch's
+        # forward pass, and smooth's temporaries add the rest (~49 bytes a
+        # point in all); every series-sized stack of windows or window
+        # scores adds 32 bytes a point at stride T/4
+        model = CoopModel(CoopConfig.for_period(50, H=4, layers=1), seed=0)
+        x = np.random.default_rng(13).normal(size=400_000)
+        peaks = []
+        for n in (100_000, 400_000):
+            tracemalloc.start()
+            try:
+                detect(x[:n], model)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / 300_000 <= 96
 
     def test_scoring_override(self):
         m = small_model(seed=9)

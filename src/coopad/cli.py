@@ -18,6 +18,7 @@ enough to reproduce outputs bit-for-bit.
 
 from __future__ import annotations
 
+import dataclasses
 import errno
 import json
 import os
@@ -71,21 +72,30 @@ def main():
 @main.command("train")
 @click.option("--data", "data_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_dir", required=True, type=click.Path())
-@click.option("--seed", default=0, type=click.IntRange(min=0), show_default=True)
-@click.option("--epochs", default=300, type=click.IntRange(min=0), show_default=True)
-@click.option("--lr", default=0.002, type=click.FloatRange(min=0, min_open=True), show_default=True)
-@click.option("--batch", default=128, type=click.IntRange(min=1), show_default=True)
-@click.option("--lam", default=10.0, type=click.FloatRange(min=0), show_default=True)
-@click.option("--hidden", default=24, type=click.IntRange(min=1), show_default=True)
-@click.option("--layers", default=3, type=click.IntRange(min=1), show_default=True)
-@click.option("--patch", default=8, type=click.IntRange(min=1), show_default=True)
-@click.option("--freq-bins", default=4, type=click.IntRange(min=1), show_default=True)
-@click.option("--masking", default="soft", type=click.Choice(MASKINGS), show_default=True)
-@click.option("--granularity", default="patch", type=click.Choice(GRANULARITIES), show_default=True)
-@click.option("--fusion", default="max", type=click.Choice(FUSIONS), show_default=True)
+@click.option("--seed", default=TrainConfig.seed, type=click.IntRange(min=0), show_default=True)
+@click.option("--epochs", default=TrainConfig.epochs, type=click.IntRange(min=0),
+              show_default=True)
+@click.option("--lr", default=TrainConfig.lr, type=click.FloatRange(min=0, min_open=True),
+              show_default=True)
+@click.option("--batch", default=TrainConfig.batch, type=click.IntRange(min=1),
+              show_default=True)
+@click.option("--lam", default=CoopConfig.lam, type=click.FloatRange(min=0), show_default=True)
+@click.option("--hidden", default=CoopConfig.H, type=click.IntRange(min=1), show_default=True)
+@click.option("--layers", default=CoopConfig.layers, type=click.IntRange(min=1),
+              show_default=True)
+@click.option("--patch", default=CoopConfig.P, type=click.IntRange(min=1), show_default=True)
+@click.option("--freq-bins", default=CoopConfig.K, type=click.IntRange(min=1),
+              show_default=True)
+@click.option("--masking", default=CoopConfig.masking, type=click.Choice(MASKINGS),
+              show_default=True)
+@click.option("--granularity", default=CoopConfig.granularity,
+              type=click.Choice(GRANULARITIES), show_default=True)
+@click.option("--fusion", default=CoopConfig.fusion, type=click.Choice(FUSIONS),
+              show_default=True)
 @click.option("--exclude-kind", "exclude_kinds", multiple=True,
               type=click.Choice(augment.KINDS))
-@click.option("--distortion-prob", default=0.9, type=click.FloatRange(0, 1), show_default=True)
+@click.option("--distortion-prob", default=TrainConfig.distortion_prob,
+              type=click.FloatRange(0, 1), show_default=True)
 @click.option("--split", default=None, type=int, help="CSV train/test split index")
 def cmd_train(data_path, out_dir, seed, epochs, lr, batch, lam, hidden, layers,
               patch, freq_bins, masking, granularity, fusion,
@@ -115,9 +125,7 @@ def cmd_train(data_path, out_dir, seed, epochs, lr, batch, lam, hidden, layers,
                     model.config_block(), model.tensors)
     run_cfg = {
         "model": config.to_dict(),
-        "train": {"lr": lr, "epochs": epochs, "batch": batch, "seed": seed,
-                  "distortion_prob": distortion_prob,
-                  "exclude_kinds": list(exclude_kinds)},
+        "train": dataclasses.asdict(tcfg),
         "data": {"path": os.path.abspath(data_path), "split": series.split,
                  "period": period, "norm_mean": stats.mean,
                  "norm_std": stats.std},
@@ -258,8 +266,7 @@ def cmd_inject(data_path, out_dir, test_kind, seed, split):
     rng = np.random.default_rng(seed)
     values = series.values.copy()
     for s, e in metrics.anomaly_ranges(series.labels):
-        seg, _ = augment.apply_kind(values[s:e + 1], test_kind, rng)
-        values[s:e + 1] = seg
+        values[s:e + 1] = augment.apply_kind(values[s:e + 1], test_kind, rng)
     os.makedirs(out_dir, exist_ok=True)
     stem = os.path.basename(data_path).rsplit(".", 1)[0] + f"_{test_kind}"
     out_series = type(series)(values=values, name=stem, split=series.split,

@@ -26,10 +26,6 @@ class RawSeries:
         return self.values[: self.split]
 
     @property
-    def test(self):
-        return self.values[self.split:]
-
-    @property
     def test_labels(self):
         if self.labels is None:
             return None

@@ -85,7 +85,7 @@ class CoopConfig:
     def for_period(cls, period, **overrides):
         """Window = 4 dominant periods rounded up to a patch multiple,
         STFT frame tied to the period."""
-        p = overrides.pop("P", 8)
+        p = overrides.pop("P", cls.P)
         t = ((4 * period + p - 1) // p) * p
         return cls(T=t, P=p, frame_len=min(spectral.frame_len_for_period(period), t),
                    smooth_window=period + 1,  # odd periods: smooth() widens to period + 2

@@ -45,19 +45,33 @@ def stitch(window_scores, origins, total, coverage):
 
 
 def smooth(scores, w):
-    """Centered moving average of odd width w, shrunk at the boundaries."""
+    """Centered moving average of odd width w, shrunk at the boundaries.
+
+    Every point is a difference of two prefix sums over its window. The
+    prefix sums and the output are the only series-sized arrays (16 bytes a
+    point); only the at most 2 * (w // 2) boundary points, whose windows are
+    shrunk, are gathered by index.
+    """
     scores = np.asarray(scores, dtype=np.float64)
     if w <= 1:
         return scores.copy()
     if w % 2 == 0:
         w += 1
     half = w // 2
-    csum = np.concatenate([[0.0], np.cumsum(scores)])
     n = len(scores)
-    idx = np.arange(n)
-    lo = np.maximum(idx - half, 0)
-    hi = np.minimum(idx + half + 1, n)
-    return (csum[hi] - csum[lo]) / (hi - lo)
+    csum = np.empty(n + 1)
+    csum[0] = 0.0
+    np.cumsum(scores, out=csum[1:])
+    out = np.empty(n)
+    if n > 2 * half:  # the points whose whole window lies inside the series
+        interior = out[half:n - half]
+        np.subtract(csum[w:], csum[:n + 1 - w], out=interior)
+        interior /= w
+    edge = np.r_[0:min(half, n), max(n - half, half):n]
+    lo = np.maximum(edge - half, 0)
+    hi = np.minimum(edge + half + 1, n)
+    out[edge] = (csum[hi] - csum[lo]) / (hi - lo)
+    return out
 
 
 def detect(test_values, model, scoring=None):

@@ -19,8 +19,7 @@ def gen_periodic(length, period, noise_std, anomalies, seed):
     values = np.sin(2.0 * np.pi * t / period) + rng.normal(0.0, noise_std, size=length)
     labels = np.zeros(length, dtype=np.int8)
     for kind, start, end in anomalies:
-        seg, _ = apply_kind(values[start:end + 1], kind, rng)
-        values[start:end + 1] = seg
+        values[start:end + 1] = apply_kind(values[start:end + 1], kind, rng)
         labels[start:end + 1] = 1
     return values, labels
 
@@ -46,9 +45,9 @@ def default_fixture(seed=7):
 
 def write_ucr_file(out_dir, series, stem="synthetic"):
     """Emit the series under the UCR filename convention so the standard
-    loader consumes it. Requires exactly one labeled anomaly range when the
-    label array has several; the written range spans the first and last
-    labeled points."""
+    loader consumes it. The filename holds one anomaly range, from the first
+    labeled point to the last (any gaps between labeled ranges included), or
+    [split, split] when no point is labeled."""
     ones = np.nonzero(series.labels)[0] if series.labels is not None else []
     if len(ones) == 0:
         start = end = series.split  # degenerate: no anomaly

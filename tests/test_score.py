@@ -130,6 +130,18 @@ class TestSmooth:
         want = np.array([x[max(0, i - half):i + half + 1].mean() for i in range(n)])
         np.testing.assert_allclose(smooth(x, w), want, rtol=0, atol=1e-12 * scale * n)
 
+    def test_memory_is_prefix_sums_and_output(self):
+        # the prefix sums and the result are smooth's only series-sized
+        # arrays (16 bytes a point); the bound leaves room for one more half
+        x = np.random.default_rng(12).normal(size=400_000)
+        tracemalloc.start()
+        try:
+            smooth(x, 51)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / len(x) <= 24
+
 
 class TestDetect:
     def test_shapes_and_coverage(self):
@@ -165,10 +177,10 @@ class TestDetect:
         assert np.allclose(got.scores, want, rtol=0, atol=1e-12)
 
     def test_memory_grows_with_the_result_only(self):
-        # detect holds the result (24 bytes a point) plus one batch's
-        # forward pass, and smooth's temporaries add the rest (~49 bytes a
-        # point in all); every series-sized stack of windows or window
-        # scores adds 32 bytes a point at stride T/4
+        # detect holds its totals and coverage (16 bytes a point) plus one
+        # batch's forward pass, which outweighs smooth's prefix sums and
+        # output (~16 bytes a point in all); every series-sized stack of
+        # windows or window scores adds 32 bytes a point at stride T/4
         model = CoopModel(CoopConfig.for_period(50, H=4, layers=1), seed=0)
         x = np.random.default_rng(13).normal(size=400_000)
         peaks = []

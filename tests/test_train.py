@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from coopad import augment, train
 from coopad.data import DataError
 from coopad.model import CoopConfig, CoopModel
 from coopad.numerics import AdamState
@@ -15,25 +16,27 @@ def small_model(seed=0, **overrides):
 
 class TestLosses:
     def test_bce_examples(self):
-        assert np.isclose(bce_loss([0.5], [1]), np.log(2.0), atol=1e-12)
-        assert np.isclose(bce_loss([0.5], [0]), np.log(2.0), atol=1e-12)
+        assert np.isclose(bce_loss([0.5], [1])[0], np.log(2.0), atol=1e-12)
+        assert np.isclose(bce_loss([0.5], [0])[0], np.log(2.0), atol=1e-12)
         # confident and correct -> near zero; confident and wrong -> large
-        assert bce_loss([0.999], [1]) < 0.01
-        assert bce_loss([0.001], [1]) > 6.0
+        assert bce_loss([0.999], [1])[0] < 0.01
+        assert bce_loss([0.001], [1])[0] > 6.0
 
     def test_bce_clamp_keeps_finite(self):
-        v = bce_loss([0.0, 1.0], [1, 0])
+        v, clamped = bce_loss([0.0, 1.0], [1, 0])
         assert np.isfinite(v)
         assert np.isclose(v, -np.log(1e-7), atol=1e-6)
+        assert clamped.tolist() == [1e-7, 1.0 - 1e-7]
 
     def test_bce_mean_reduction(self):
-        a = bce_loss([0.3, 0.7], [0, 1])
+        a, _ = bce_loss([0.3, 0.7], [0, 1])
         expected = -(np.log(0.7) + np.log(0.7)) / 2
         assert np.isclose(a, expected, atol=1e-12)
 
     def test_mse_examples(self):
-        assert mse_loss([1.0, 2.0], [1.0, 2.0]) == 0.0
-        assert mse_loss([3.0, 0.0], [1.0, 0.0]) == 2.0
+        assert mse_loss([1.0, 2.0], [1.0, 2.0])[0] == 0.0
+        loss, resid = mse_loss([3.0, 0.0], [1.0, 0.0])
+        assert loss == 2.0 and resid.tolist() == [2.0, 0.0]
 
 
 class TestClipGrads:
@@ -67,7 +70,7 @@ class TestLossAndGrads:
         loss, grads, result = loss_and_grads(m, x, x, labels)
         assert np.isclose(loss.total, loss.bce + m.config.lam * loss.mse,
                           atol=1e-12)
-        assert loss.mse == mse_loss(result.x_r, x)
+        assert loss.mse == mse_loss(result.x_r, x)[0]
         assert result.cache is None  # freed once backward has used it
         assert set(grads) == set(m.tensors)
         for k, g in grads.items():
@@ -127,6 +130,27 @@ class TestFit:
         with pytest.raises(DataError):
             train_epoch(np.ones(8), 16, m, TrainConfig(),
                         AdamState(m.tensors), np.random.default_rng(0))
+
+    def test_all_kinds_excluded_trains_clean(self, monkeypatch):
+        # with no kind left every window is trained clean: no distortion
+        # runs, the distorted batch is the clean one, and no patch is labelled
+        def no_distortion(*args):
+            raise AssertionError("apply_kind called with every kind excluded")
+
+        batches = []
+
+        def spy(model, x_distorted, x_clean, patch_labels, rng=None):
+            batches.append((x_distorted.copy(), x_clean.copy(), patch_labels.copy()))
+            return loss_and_grads(model, x_distorted, x_clean, patch_labels, rng=rng)
+
+        monkeypatch.setattr(augment, "apply_kind", no_distortion)
+        monkeypatch.setattr(train, "loss_and_grads", spy)
+        fit(sine_train(), 16, small_model(),
+            TrainConfig(epochs=2, batch=8, exclude_kinds=augment.KINDS))
+        assert batches
+        for x_distorted, x_clean, labels in batches:
+            assert x_distorted.tobytes() == x_clean.tobytes()
+            assert labels.shape == (len(x_clean), 4) and not labels.any()
 
     def test_hard_mode_sets_threshold(self):
         m = small_model(masking="hard")

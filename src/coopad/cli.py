@@ -22,6 +22,7 @@ import dataclasses
 import errno
 import json
 import os
+import resource
 import sys
 import time
 
@@ -284,7 +285,8 @@ def cmd_inject(data_path, out_dir, test_kind, seed, split):
 @click.option("--period", default=50, type=click.IntRange(min=1), show_default=True)
 @click.option("--seed", default=0, type=click.IntRange(min=0), show_default=True)
 def cmd_bench(points, period, seed):
-    """Measure detect throughput on a generated series at default config."""
+    """Measure detect throughput and peak memory on a generated series at
+    default config."""
     values, _ = synth.gen_periodic(points, period, noise_std=0.05,
                                    anomalies=(), seed=seed)
     config = CoopConfig.for_period(period)
@@ -294,8 +296,11 @@ def cmd_bench(points, period, seed):
     result = score.detect(values, model)
     elapsed = time.perf_counter() - t0
     throughput = len(result.scores) / elapsed
+    # peak resident memory of the process; Linux reports ru_maxrss in KiB
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
     click.echo(f"points={points} T={config.T} params={n_params}")
-    click.echo(f"elapsed={elapsed:.3f}s throughput={throughput:,.0f} points/s")
+    click.echo(f"elapsed={elapsed:.3f}s throughput={throughput:,.0f} points/s "
+               f"peak_rss_mb={peak_rss_mb:.1f}")
 
 
 if __name__ == "__main__":

@@ -19,11 +19,14 @@ joint scoring.
 The frequency branch reads per-patch STFT features framed straight from
 each window (`spectral.stft_apply` with the model's patch kernel). The
 backward pass maps their gradient to the reconstruction through the dense
-operator's transpose, `stft_mat`, its only use.
+operator's transpose, `stft_mat`, its only use. The model builds that
+operator on its first backward and keeps it, so construction, checkpoint
+loading and detect never allocate it (256 MB at T = 2000).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -170,8 +173,15 @@ class CoopModel:
             t["w_gate"] = uniform_init(rng, c.H, 2 * c.H)
             t["b_gate"] = np.zeros(c.H)
         self.stft_kernel = spectral.stft_patch_kernel(c.P, c.frame_len, c.K)
-        self.stft_mat = spectral.stft_matrix(c.T, c.frame_len, c.K)  # backward only
         self.hard_threshold = None  # calibrated during training
+
+    @functools.cached_property
+    def stft_mat(self):
+        """Dense (2K*T, T) STFT operator whose transpose product is the
+        backward pass's adjoint of the frequency features; built on the
+        first backward, so inference never allocates it."""
+        c = self.config
+        return spectral.stft_matrix(c.T, c.frame_len, c.K)
 
     def num_params(self):
         return int(sum(v.size for v in self.tensors.values()))

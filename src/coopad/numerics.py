@@ -5,13 +5,25 @@ Everything runs in float64. Sequences are laid out (steps, batch, dim) so the
 recurrence loops over the leading axis. Gate blocks inside the stacked 3H
 weight matrices are ordered (z, r, n).
 
-The GRU step loop computes one sigmoid over the stacked z|r block. A layer's
-forward cache holds its inputs, hidden states h, gates z, r, n and the
-recurrent candidate term ghn, one entry per step; with keep_cache=False
-(inference) no gate buffers are allocated and no cache is returned. Backward
-walks the steps in reverse, storing the gate pre-activation gradients of
-every step, and then forms the input, weight and bias gradients with one
-matmul or sum each; the previous state is h[t-1], zeros at t = 0.
+The GRU step loop computes one sigmoid over the stacked z|r block. Each step
+runs in buffers that one `GruStack.forward` call allocates once and its
+layers share (`_step_workspace`): the matmuls write with out=, the biases
+are added in place, the sigmoid and tanh write over their inputs, and the
+new state is written straight into the layer's output. Every operation
+keeps the operands and order of the plain expressions, so the bytes are the
+same. Likewise one `GruStack.backward` call allocates the (steps, batch, 3H)
+gate-gradient buffers that its layers overwrite in turn. Nothing is kept on
+the stack object between calls. On a 2-vCPU VM (NumPy 2.4, OpenBLAS 0.3.31)
+this took a 3-layer H = 24 stack's inference forward over 25 steps at batch
+256 from 23.3 to 20.2 ms, and its backward at batch 128 from 18 to 15 ms.
+
+A layer's forward cache holds its inputs, hidden states h, gates z, r, n
+and the recurrent candidate term ghn, one entry per step; with
+keep_cache=False (inference) no gate buffers are allocated and no cache is
+returned. Backward walks the steps in reverse, storing the gate
+pre-activation gradients of every step, and then forms the input, weight
+and bias gradients with one matmul or sum each; the previous state is
+h[t-1], zeros at t = 0.
 
 The input projection stays inside the step loop. Hoisting it into one
 (steps, batch, 3H) matmul before the loop made the forward about 20 % slower
@@ -32,11 +44,22 @@ import numpy as np
 def sigmoid(x):
     """Numerically stable logistic function, output in (0, 1)."""
     x = np.asarray(x, dtype=np.float64)
+    return _sigmoid_into(x, np.empty_like(x), np.empty_like(x))
+
+
+def _sigmoid_into(x, out, tmp):
+    """The stable sigmoid of x written into out (which may be x), with tmp
+    (x's shape) as scratch; returns out."""
     # exp(-|x|) never overflows; 1/(1+e) for x >= 0 and e/(1+e) below it,
     # the same expressions a masked two-branch version evaluates:
     # exp(min(x, 0)) is exactly 1 for x >= 0 and exp(-|x|) below it
-    e = np.exp(-np.abs(x))
-    return np.exp(np.minimum(x, 0.0)) / (1.0 + e)
+    np.abs(x, out=tmp)
+    np.negative(tmp, out=tmp)
+    np.exp(tmp, out=tmp)
+    np.add(1.0, tmp, out=tmp)
+    np.minimum(x, 0.0, out=out)
+    np.exp(out, out=out)
+    return np.divide(out, tmp, out=out)
 
 
 def uniform_init(rng, rows, cols, fan_in=None):
@@ -84,9 +107,10 @@ class GruStack:
         if inputs.shape[2] != self.hidden:
             raise ValueError(f"input dim {inputs.shape[2]} != hidden {self.hidden}")
         cache = [] if keep_cache else None
+        ws = _step_workspace(inputs.shape[1], self.hidden)
         x = inputs
         for layer in self.layers:
-            x, layer_cache = _gru_layer_forward(layer, x, keep_cache)
+            x, layer_cache = _gru_layer_forward(layer, x, keep_cache, ws)
             if keep_cache:
                 cache.append(layer_cache)
         return x, cache
@@ -102,8 +126,12 @@ class GruStack:
             raise ValueError("cache depth does not match layer count")
         grads = [None] * len(self.layers)
         d = np.asarray(grad_outputs, dtype=np.float64)
+        # gate pre-activation gradients of every step, shared by the layers
+        steps, batch = cache[0]["inputs"].shape[:2]
+        dgx = np.empty((steps, batch, 3 * self.hidden))
+        dgh = np.empty((steps, batch, 3 * self.hidden))
         for i in range(len(self.layers) - 1, -1, -1):
-            d, grads[i] = _gru_layer_backward(self.layers[i], cache[i], d)
+            d, grads[i] = _gru_layer_backward(self.layers[i], cache[i], d, dgx, dgh)
         return d, grads
 
     def tensors(self, prefix):
@@ -114,22 +142,41 @@ class GruStack:
         return out
 
 
-def _gru_layer_forward(layer, inputs, keep_cache=True):
+def _step_workspace(batch, hdim):
+    """Step buffers of one GruStack.forward call, shared by its layers:
+    gx and gh (batch, 3H); zr and its sigmoid scratch (batch, 2H); n, the
+    blend's (1 - z)*n term and the zero initial state (batch, H)."""
+    return (np.empty((batch, 3 * hdim)), np.empty((batch, 3 * hdim)),
+            np.empty((batch, 2 * hdim)), np.empty((batch, 2 * hdim)),
+            np.empty((batch, hdim)), np.empty((batch, hdim)), np.zeros((batch, hdim)))
+
+
+def _gru_layer_forward(layer, inputs, keep_cache, ws):
     steps, batch, _ = inputs.shape
     hdim = layer.hidden
-    h = np.zeros((batch, hdim))
+    gx, gh, zr, zr_tmp, n, blend, h = ws
+    gx_zr, gx_n = gx[:, :2 * hdim], gx[:, 2 * hdim:]
+    gh_zr, ghn = gh[:, :2 * hdim], gh[:, 2 * hdim:]
+    z, r = zr[:, :hdim], zr[:, hdim:]
+    wx_t, wh_t = layer.wx.T, layer.wh.T
     hs = np.empty((steps, batch, hdim))
     if keep_cache:
         zs, rs, ns, ghns = (np.empty((steps, batch, hdim)) for _ in range(4))
     for t in range(steps):
-        gx = inputs[t] @ layer.wx.T + layer.bx
-        gh = h @ layer.wh.T + layer.bh
-        zr = sigmoid(gx[:, :2 * hdim] + gh[:, :2 * hdim])
-        z, r = zr[:, :hdim], zr[:, hdim:]
-        ghn = gh[:, 2 * hdim:]
-        n = np.tanh(gx[:, 2 * hdim:] + r * ghn)
-        h = (1.0 - z) * n + z * h
-        hs[t] = h
+        # every operation below keeps the operands and order of
+        # gx = x @ wx.T + bx; gh = h @ wh.T + bh; zr = sigmoid(gx + gh);
+        # n = tanh(gx_n + r * ghn); h = (1 - z) * n + z * h
+        np.matmul(inputs[t], wx_t, out=gx)
+        gx += layer.bx
+        np.matmul(h, wh_t, out=gh)
+        gh += layer.bh
+        _sigmoid_into(np.add(gx_zr, gh_zr, out=zr), zr, zr_tmp)
+        np.multiply(r, ghn, out=n)
+        np.tanh(np.add(gx_n, n, out=n), out=n)
+        np.subtract(1.0, z, out=blend)
+        blend *= n
+        np.multiply(z, h, out=hs[t])
+        h = np.add(blend, hs[t], out=hs[t])
         if keep_cache:
             zs[t], rs[t], ns[t], ghns[t] = z, r, n, ghn
     cache = None
@@ -138,7 +185,8 @@ def _gru_layer_forward(layer, inputs, keep_cache=True):
     return hs, cache
 
 
-def _gru_layer_backward(layer, cache, grad_outputs):
+def _gru_layer_backward(layer, cache, grad_outputs, dgx, dgh):
+    """dgx and dgh are (steps, batch, 3H) buffers this call overwrites."""
     inputs = cache["inputs"]
     steps, batch, _ = inputs.shape
     hdim = layer.hidden
@@ -147,8 +195,6 @@ def _gru_layer_backward(layer, cache, grad_outputs):
     # gate pre-activation gradients of every step: dgh feeds wh, bh and the
     # recurrence; dgx (same z|r block, n block not scaled by r) feeds wx, bx
     # and the inputs
-    dgx = np.empty((steps, batch, 3 * hdim))
-    dgh = np.empty((steps, batch, 3 * hdim))
     dh_next = np.zeros((batch, hdim))
     h0 = np.zeros((batch, hdim))
     for t in range(steps - 1, -1, -1):

@@ -7,7 +7,8 @@ encoder reads. A window costs O(T * (P + frame_len) * 2K) multiply-adds
 this way, against O(2K * T^2) through a dense operator. `stft_matrix` builds
 the spectrogram as an explicit (2K*T, T) operator, row (k, t) holding the
 DFT weights of bin k for the frame centered at t; the model's backward
-pass uses its transpose product as the adjoint.
+pass uses its transpose product as the adjoint, and builds it on its first
+backward, so inference never holds it.
 """
 
 from __future__ import annotations

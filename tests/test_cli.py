@@ -442,6 +442,8 @@ class TestBench:
         assert r.exit_code == 0, r.output
         assert "points=6000 T=2000" in r.output
         assert "points/s" in r.output
+        peak = r.output.split("peak_rss_mb=")[1].split()[0]
+        assert float(peak) > 0
 
     @pytest.mark.parametrize("flag, value", [
         ("--points", "0"), ("--period", "0"), ("--seed", "-1")])

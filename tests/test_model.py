@@ -1,10 +1,14 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from coopad import cli, score, spectral
 from coopad.checkpoint import load_checkpoint, save_checkpoint
 from coopad.model import (FUSIONS, GRANULARITIES, CoopConfig, CoopModel,
                           hard_mask_threshold, mask_coefficients)
-from coopad.numerics import grad_check
+from coopad.numerics import AdamState, adam_step, grad_check
 from coopad.train import loss_and_grads
 
 SMALL = dict(T=16, P=4, H=3, K=2, layers=1, frame_len=8)
@@ -265,6 +269,67 @@ class TestEncode:
         assert enc["gru_t"] is None and enc["gru_f"] is None
         _, _, enc = m._encode(batch(seed=20), keep_cache=True)
         assert enc["fpat"].shape == (4, 3, 4 * 2 * 2)
+
+
+class TestDenseAdjoint:
+    """Only backward reads the dense STFT operator, so only the first
+    backward builds it."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        build = spectral.stft_matrix
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(spectral, "stft_matrix", counted)
+        return calls
+
+    def test_inference_never_builds_it(self, builds, tmp_path):
+        m = small_model(seed=21)
+        m.forward(batch(seed=22))
+        score.detect(np.random.default_rng(23).normal(size=90), m)
+        (tmp_path / "config.json").write_text(json.dumps({
+            "model": m.config.to_dict(), "train": {"seed": 21},
+            "data": {"norm_mean": 0.0, "norm_std": 1.0}}))
+        save_checkpoint(str(tmp_path / "model.ckpt"), m.config_block(), m.tensors)
+        loaded, _, _ = cli.load_run(str(tmp_path))
+        loaded.forward(batch(seed=22))
+        assert builds == []
+
+    def test_first_backward_builds_it_once(self, builds):
+        eager = small_model(seed=24)
+        eager.stft_mat  # built before the first step
+        builds.clear()
+        lazy = small_model(seed=24)
+        rng = np.random.default_rng(25)
+        x_clean = rng.normal(size=(2, 16))
+        x_dist = x_clean + rng.normal(0, 0.3, size=(2, 16))
+        labels = np.array([[0, 1, 0, 0], [0, 0, 1, 1]], dtype=np.int8)
+        models = (eager, lazy)
+        states = [AdamState(m.tensors) for m in models]
+        for _ in range(2):
+            grads = [loss_and_grads(m, x_dist, x_clean, labels)[1] for m in models]
+            for m, g, state in zip(models, grads, states):
+                adam_step(m.tensors, g, state, lr=1e-2)
+            for k in eager.tensors:
+                assert grads[1][k].tobytes() == grads[0][k].tobytes(), k
+        assert builds == [(16, 8, 2)]
+
+    def test_wide_model_builds_and_infers_in_megabytes(self):
+        # period 1000 gives T = 4000, the estimate_period ceiling, where the
+        # dense operator alone is 2K * T * T * 8 bytes = 1.02 GB
+        tracemalloc.start()
+        try:
+            m = CoopModel(CoopConfig.for_period(1000), seed=0)
+            m.forward(np.random.default_rng(26).normal(size=(2, m.config.T)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.config.T == 4000
+        assert peak <= 16e6
 
 
 # criterion 1 certifies patch granularity with max fusion under soft masking;

@@ -235,6 +235,100 @@ class TestGruBackward:
             stack.backward(cache, np.zeros((3, 1, 3)))
 
 
+def oracle_sigmoid(x):
+    e = np.exp(-np.abs(x))
+    return np.exp(np.minimum(x, 0.0)) / (1.0 + e)
+
+
+def oracle_gru_layer_forward(layer, inputs):
+    """The step loop in plain expressions, one fresh temporary each."""
+    steps, batch, _ = inputs.shape
+    hdim = layer.hidden
+    h = np.zeros((batch, hdim))
+    hs = np.empty((steps, batch, hdim))
+    zs, rs, ns, ghns = (np.empty((steps, batch, hdim)) for _ in range(4))
+    for t in range(steps):
+        gx = inputs[t] @ layer.wx.T + layer.bx
+        gh = h @ layer.wh.T + layer.bh
+        zr = oracle_sigmoid(gx[:, :2 * hdim] + gh[:, :2 * hdim])
+        z, r = zr[:, :hdim], zr[:, hdim:]
+        ghn = gh[:, 2 * hdim:]
+        n = np.tanh(gx[:, 2 * hdim:] + r * ghn)
+        h = (1.0 - z) * n + z * h
+        hs[t] = h
+        zs[t], rs[t], ns[t], ghns[t] = z, r, n, ghn
+    return hs, {"inputs": inputs, "h": hs, "z": zs, "r": rs, "n": ns, "ghn": ghns}
+
+
+def oracle_gru_layer_backward(layer, cache, grad_outputs):
+    """Backward with its gate-gradient buffers allocated per layer."""
+    inputs = cache["inputs"]
+    steps, batch, _ = inputs.shape
+    hdim = layer.hidden
+    dgx = np.empty((steps, batch, 3 * hdim))
+    dgh = np.empty((steps, batch, 3 * hdim))
+    dh_next = np.zeros((batch, hdim))
+    h0 = np.zeros((batch, hdim))
+    for t in range(steps - 1, -1, -1):
+        dh = grad_outputs[t] + dh_next
+        z, r, n = cache["z"][t], cache["r"][t], cache["n"][t]
+        ghn = cache["ghn"][t]
+        hprev = cache["h"][t - 1] if t > 0 else h0
+        dz = dh * (hprev - n)
+        dn = dh * (1.0 - z)
+        dh_prev = dh * z
+        dn_pre = dn * (1.0 - n * n)
+        dr = dn_pre * ghn
+        dg = dgh[t]
+        dg[:, :hdim] = dz * z * (1.0 - z)
+        dg[:, hdim:2 * hdim] = dr * r * (1.0 - r)
+        dg[:, 2 * hdim:] = dn_pre * r
+        dgx[t, :, 2 * hdim:] = dn_pre
+        dh_next = dh_prev + dg @ layer.wh
+    dgx[:, :, :2 * hdim] = dgh[:, :, :2 * hdim]
+    dwx = np.matmul(dgx.transpose(0, 2, 1), inputs).sum(axis=0)
+    dwh = np.matmul(dgh[1:].transpose(0, 2, 1), cache["h"][:-1]).sum(axis=0)
+    grads = {"wx": dwx, "wh": dwh,
+             "bx": dgx.sum(axis=(0, 1)), "bh": dgh.sum(axis=(0, 1))}
+    return dgx @ layer.wx, grads
+
+
+class TestGruWorkspaceBytes:
+    """The step loop runs in buffers shared by a call's layers; every byte
+    must equal the plain-expression loop's."""
+
+    @pytest.mark.parametrize("scale", [1.0, 800.0])
+    @pytest.mark.parametrize("steps, batch, hdim",
+                             [(1, 1, 3), (7, 5, 24), (25, 256, 24), (250, 3, 24)])
+    def test_matches_plain_loop(self, steps, batch, hdim, scale):
+        rng = np.random.default_rng(steps * 1000 + batch)
+        stack = GruStack(hdim, layers=3, rng=rng)
+        for layer in stack.layers:
+            layer.bx[:] = rng.normal(size=layer.bx.shape)
+            layer.bh[:] = rng.normal(size=layer.bh.shape)
+        # scale 800 saturates the gates: exp(-|x|) underflows to zero
+        x = scale * rng.normal(size=(steps, batch, hdim))
+        out, cache = stack.forward(x)
+        plain, _ = stack.forward(x, keep_cache=False)
+        want, want_cache = x, []
+        for layer in stack.layers:
+            want, c = oracle_gru_layer_forward(layer, want)
+            want_cache.append(c)
+        assert out.tobytes() == want.tobytes()
+        assert plain.tobytes() == want.tobytes()
+        for got_c, want_c in zip(cache, want_cache):
+            for k in ("h", "z", "r", "n", "ghn"):
+                assert got_c[k].tobytes() == want_c[k].tobytes(), k
+        d_out = rng.normal(size=out.shape)
+        dx, grads = stack.backward(cache, d_out)
+        d = d_out
+        for i in range(len(stack.layers) - 1, -1, -1):
+            d, ref = oracle_gru_layer_backward(stack.layers[i], want_cache[i], d)
+            for k, v in ref.items():
+                assert grads[i][k].tobytes() == v.tobytes(), (i, k)
+        assert dx.tobytes() == d.tobytes()
+
+
 class TestAdam:
     def test_zero_grad_fixed_point(self):
         p = {"w": np.array([[1.0, -2.0]])}

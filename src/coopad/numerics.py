@@ -1,9 +1,20 @@
 """Dense numerical substrate: a stable sigmoid, stacked GRU forward/backward,
 Adam updates, and a finite-difference gradient checker.
 
-Everything runs in float64. Sequences are laid out (steps, batch, dim) so the
-recurrence loops over the leading axis. Gate blocks inside the stacked 3H
-weight matrices are ordered (z, r, n).
+A training pass (keep_cache=True) runs in float64. An inference pass runs
+each GRU recurrence in float32: `GruStack.forward` casts its input once,
+each layer casts its weights per call (10.8k floats for a 3-layer H = 24
+stack, so no float32 copy is kept that training or loading could leave
+stale), and the top layer's output is returned as float64. The step loop,
+its sigmoid included, takes its dtype from its operands. Sequences are laid out
+(steps, batch, dim) so the recurrence loops over the leading axis. Gate
+blocks inside the stacked 3H weight matrices are ordered (z, r, n).
+
+An inference row does not depend on the rest of its batch. BLAS takes a
+one-row float32 product through gemv, which rounds differently from the
+gemm of any wider batch (up to 3e-7 on one (1, 24) @ (24, 72) product, and
+1e-8 to 1.4e-8 on scores at periods 37, 50 and 500), so a one-row inference
+batch runs as two rows and keeps the first.
 
 The GRU step loop computes one sigmoid over the stacked z|r block. Each step
 runs in buffers that one `GruStack.forward` call allocates once and its
@@ -14,7 +25,7 @@ keeps the operands and order of the plain expressions, so the bytes are the
 same. Likewise one `GruStack.backward` call allocates the (steps, batch, 3H)
 gate-gradient buffers that its layers overwrite in turn. Nothing is kept on
 the stack object between calls. On a 2-vCPU VM (NumPy 2.4, OpenBLAS 0.3.31)
-this took a 3-layer H = 24 stack's inference forward over 25 steps at batch
+this took a 3-layer H = 24 stack's float64 forward over 25 steps at batch
 256 from 23.3 to 20.2 ms, and its backward at batch 128 from 18 to 15 ms.
 
 A layer's forward cache holds its inputs, hidden states h, gates z, r, n
@@ -95,25 +106,34 @@ class GruStack:
     def forward(self, inputs, keep_cache=True):
         """Run the stack over inputs (steps, batch, hidden).
 
-        Returns (outputs, cache): outputs are the top layer's hidden states,
-        cache holds per-layer gate activations needed for backward, or is
-        None when keep_cache is false.
+        Returns (outputs, cache): outputs are the top layer's hidden states
+        as float64, cache holds per-layer gate activations needed for
+        backward, or is None when keep_cache is false; the recurrence then
+        runs in float32.
         """
-        inputs = np.asarray(inputs, dtype=np.float64)
+        dtype = np.float64 if keep_cache else np.float32
+        inputs = np.asarray(inputs, dtype=dtype)
         if inputs.ndim != 3:
             raise ValueError("gru forward expects (steps, batch, dim) input")
         if inputs.shape[0] < 1:
             raise ValueError("sequence length must be >= 1")
         if inputs.shape[2] != self.hidden:
             raise ValueError(f"input dim {inputs.shape[2]} != hidden {self.hidden}")
+        batch = inputs.shape[1]
+        if not keep_cache and batch == 1:
+            # BLAS takes a one-row product through gemv, which rounds
+            # differently from the gemm every wider batch gets
+            inputs = np.repeat(inputs, 2, axis=1)
         cache = [] if keep_cache else None
-        ws = _step_workspace(inputs.shape[1], self.hidden)
+        ws = _step_workspace(inputs.shape[1], self.hidden, dtype)
         x = inputs
         for layer in self.layers:
             x, layer_cache = _gru_layer_forward(layer, x, keep_cache, ws)
             if keep_cache:
                 cache.append(layer_cache)
-        return x, cache
+        if keep_cache:
+            return x, cache
+        return x[:, :batch].astype(np.float64), None
 
     def backward(self, cache, grad_outputs):
         """Backprop through time for the whole stack.
@@ -142,13 +162,14 @@ class GruStack:
         return out
 
 
-def _step_workspace(batch, hdim):
+def _step_workspace(batch, hdim, dtype):
     """Step buffers of one GruStack.forward call, shared by its layers:
     gx and gh (batch, 3H); zr and its sigmoid scratch (batch, 2H); n, the
     blend's (1 - z)*n term and the zero initial state (batch, H)."""
-    return (np.empty((batch, 3 * hdim)), np.empty((batch, 3 * hdim)),
-            np.empty((batch, 2 * hdim)), np.empty((batch, 2 * hdim)),
-            np.empty((batch, hdim)), np.empty((batch, hdim)), np.zeros((batch, hdim)))
+    return (np.empty((batch, 3 * hdim), dtype), np.empty((batch, 3 * hdim), dtype),
+            np.empty((batch, 2 * hdim), dtype), np.empty((batch, 2 * hdim), dtype),
+            np.empty((batch, hdim), dtype), np.empty((batch, hdim), dtype),
+            np.zeros((batch, hdim), dtype))
 
 
 def _gru_layer_forward(layer, inputs, keep_cache, ws):
@@ -158,8 +179,10 @@ def _gru_layer_forward(layer, inputs, keep_cache, ws):
     gx_zr, gx_n = gx[:, :2 * hdim], gx[:, 2 * hdim:]
     gh_zr, ghn = gh[:, :2 * hdim], gh[:, 2 * hdim:]
     z, r = zr[:, :hdim], zr[:, hdim:]
-    wx_t, wh_t = layer.wx.T, layer.wh.T
-    hs = np.empty((steps, batch, hdim))
+    dtype = inputs.dtype
+    wx_t, wh_t = layer.wx.T.astype(dtype, copy=False), layer.wh.T.astype(dtype, copy=False)
+    bx, bh = layer.bx.astype(dtype, copy=False), layer.bh.astype(dtype, copy=False)
+    hs = np.empty((steps, batch, hdim), dtype)
     if keep_cache:
         zs, rs, ns, ghns = (np.empty((steps, batch, hdim)) for _ in range(4))
     for t in range(steps):
@@ -167,9 +190,9 @@ def _gru_layer_forward(layer, inputs, keep_cache, ws):
         # gx = x @ wx.T + bx; gh = h @ wh.T + bh; zr = sigmoid(gx + gh);
         # n = tanh(gx_n + r * ghn); h = (1 - z) * n + z * h
         np.matmul(inputs[t], wx_t, out=gx)
-        gx += layer.bx
+        gx += bx
         np.matmul(h, wh_t, out=gh)
-        gh += layer.bh
+        gh += bh
         _sigmoid_into(np.add(gx_zr, gh_zr, out=zr), zr, zr_tmp)
         np.multiply(r, ghn, out=n)
         np.tanh(np.add(gx_n, n, out=n), out=n)

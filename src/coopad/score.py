@@ -95,7 +95,7 @@ def detect(test_values, model, scoring=None):
     n = len(test_values)
     origins = window_origins(n, c.T, stride=max(1, c.T // 4))
     total = np.zeros(n)
-    coverage = np.zeros(n, dtype=np.int64)
+    coverage = np.zeros(n, dtype=np.uint8)  # at most T/stride + 2 windows a point
     for start in range(0, len(origins), BATCH):
         wb = make_windows(test_values, c.T, origins[start:start + BATCH])
         window_scores = pointwise_scores(wb.windows, model.forward(wb.windows), scoring)

@@ -196,6 +196,54 @@ class TestForward:
             assert np.all(np.isfinite(res.probs.combined))
 
 
+# Largest difference between an inference row scored in one batch and in
+# another, fixed before the first run. The float32 recurrences give the same
+# bytes for every batch size (tests/test_numerics.py); the float64 heads and
+# projections around them round by batch shape as BLAS picks its kernel, a
+# few ulps (up to 2.2e-16 at periods 37, 50 and 500, as before float32).
+# A float32 product whose rounding follows the batch (a one-row batch
+# through gemv) moves scores by 1e-8 to 1.4e-8.
+ROW_BOUND = 1e-14
+ROW_CONFIGS = [{}, {"masking": "hard"}, {"masking": "grating"}, {"fusion": "mean"},
+               {"fusion": "feat_add"}, {"fusion": "feat_gate"},
+               {"granularity": "step"}, {"granularity": "window"}]
+
+
+class TestInferenceRowIndependence:
+    """A window's inference scores do not depend on the other windows of its
+    batch. Random masking is left out: it draws one mask for the whole
+    batch, so its rows depend on the batch by design."""
+
+    @pytest.mark.parametrize("overrides", ROW_CONFIGS,
+                             ids=["-".join(o.values()) or "default" for o in ROW_CONFIGS])
+    def test_rows_match_every_batch_size(self, overrides):
+        m = CoopModel(CoopConfig.for_period(50, **overrides), seed=2)
+        x = np.random.default_rng(3).normal(size=(256, m.config.T))
+        # hard masking at inference uses the threshold training calibrated
+        m.hard_threshold = hard_mask_threshold(m.forward(x).probs.fused)
+        full = m.forward(x)
+        full_scores = score.pointwise_scores(x, full)
+        for rows in (slice(0, 1), slice(0, 2), slice(0, 3), slice(0, 5), slice(0, 16),
+                     slice(0, 17), slice(1, 256), slice(255, 256)):
+            res = m.forward(x[rows])
+            for got, want in ((res.x_r, full.x_r[rows]),
+                              (res.probs.combined, full.probs.combined[:, rows]),
+                              (score.pointwise_scores(x[rows], res), full_scores[rows])):
+                assert np.abs(got - want).max() <= ROW_BOUND, rows
+
+    def test_detect_end_points_match_one_window_rescore(self):
+        # one window covers each end of the series; detect scores it inside
+        # a batch, the re-score alone (a one-row batch)
+        m = CoopModel(CoopConfig.for_period(50), seed=4)
+        T = m.config.T
+        x = np.random.default_rng(5).normal(size=14_000)  # 277 windows: 2 batches
+        series = score.detect(x, m)
+        for window, point, offset in ((x[:T], 0, 0), (x[-T:], len(x) - 1, T - 1)):
+            assert series.coverage[point] == 1
+            one = score.pointwise_scores(window[None], m.forward(window[None]))
+            assert abs(series.scores[point] - one[0, offset]) <= ROW_BOUND
+
+
 class TestParamsAndPersistence:
     def test_num_params_from_shapes(self):
         m = small_model()

@@ -104,6 +104,8 @@ class TestGruForward:
             stack.forward(np.zeros((4, 2, 5)))
 
     def test_no_cache_same_output_bytes(self):
+        # a training pass gives the float64 plain loop's bytes, an inference
+        # pass the float32 plain loop's, returned as float64
         rng = np.random.default_rng(15)
         stack = GruStack(5, layers=3, rng=rng)
         x = np.random.default_rng(16).normal(size=(9, 4, 5))
@@ -111,7 +113,9 @@ class TestGruForward:
         out, none = stack.forward(x, keep_cache=False)
         assert none is None
         assert len(cache) == 3
-        assert out.tobytes() == cached.tobytes()
+        assert cached.tobytes() == oracle_stack_forward(stack, x).tobytes()
+        assert out.dtype == np.float64
+        assert out.tobytes() == oracle_stack_forward(stack, x, np.float32).tobytes()
 
 
 def per_step_gru_backward(layer, cache, grad_outputs):
@@ -241,15 +245,18 @@ def oracle_sigmoid(x):
 
 
 def oracle_gru_layer_forward(layer, inputs):
-    """The step loop in plain expressions, one fresh temporary each."""
+    """The step loop in plain expressions, one fresh temporary each, in the
+    dtype of inputs (the weights are cast to it)."""
     steps, batch, _ = inputs.shape
     hdim = layer.hidden
-    h = np.zeros((batch, hdim))
-    hs = np.empty((steps, batch, hdim))
-    zs, rs, ns, ghns = (np.empty((steps, batch, hdim)) for _ in range(4))
+    dtype = inputs.dtype
+    wx, wh, bx, bh = (layer.tensors()[k].astype(dtype) for k in ("wx", "wh", "bx", "bh"))
+    h = np.zeros((batch, hdim), dtype)
+    hs = np.empty((steps, batch, hdim), dtype)
+    zs, rs, ns, ghns = (np.empty((steps, batch, hdim), dtype) for _ in range(4))
     for t in range(steps):
-        gx = inputs[t] @ layer.wx.T + layer.bx
-        gh = h @ layer.wh.T + layer.bh
+        gx = inputs[t] @ wx.T + bx
+        gh = h @ wh.T + bh
         zr = oracle_sigmoid(gx[:, :2 * hdim] + gh[:, :2 * hdim])
         z, r = zr[:, :hdim], zr[:, hdim:]
         ghn = gh[:, 2 * hdim:]
@@ -258,6 +265,19 @@ def oracle_gru_layer_forward(layer, inputs):
         hs[t] = h
         zs[t], rs[t], ns[t], ghns[t] = z, r, n, ghn
     return hs, {"inputs": inputs, "h": hs, "z": zs, "r": rs, "n": ns, "ghn": ghns}
+
+
+def oracle_stack_forward(stack, x, dtype=np.float64):
+    """The stack's output through the plain-expression loop in dtype,
+    returned as float64. In float32 a one-row batch runs as two rows, as an
+    inference pass runs it, and the first copy is kept."""
+    batch = x.shape[1]
+    out = np.asarray(x, dtype=dtype)
+    if dtype == np.float32 and batch == 1:
+        out = np.repeat(out, 2, axis=1)
+    for layer in stack.layers:
+        out, _ = oracle_gru_layer_forward(layer, out)
+    return out[:, :batch].astype(np.float64)
 
 
 def oracle_gru_layer_backward(layer, cache, grad_outputs):
@@ -293,9 +313,16 @@ def oracle_gru_layer_backward(layer, cache, grad_outputs):
     return dgx @ layer.wx, grads
 
 
+# Largest |float32 inference - float64 training| output of a stack fed
+# unit-scale inputs. Fixed before the first run from float32's epsilon
+# (1.2e-7), with room for error to build up over 3 layers and 250 steps.
+F32_GAP_BOUND = 1e-5
+
+
 class TestGruWorkspaceBytes:
     """The step loop runs in buffers shared by a call's layers; every byte
-    must equal the plain-expression loop's."""
+    must equal the plain-expression loop's: in float64 for a training pass,
+    in float32 for an inference pass."""
 
     @pytest.mark.parametrize("scale", [1.0, 800.0])
     @pytest.mark.parametrize("steps, batch, hdim",
@@ -315,7 +342,9 @@ class TestGruWorkspaceBytes:
             want, c = oracle_gru_layer_forward(layer, want)
             want_cache.append(c)
         assert out.tobytes() == want.tobytes()
-        assert plain.tobytes() == want.tobytes()
+        assert plain.tobytes() == oracle_stack_forward(stack, x, np.float32).tobytes()
+        if scale == 1.0:
+            assert np.abs(plain - out).max() <= F32_GAP_BOUND
         for got_c, want_c in zip(cache, want_cache):
             for k in ("h", "z", "r", "n", "ghn"):
                 assert got_c[k].tobytes() == want_c[k].tobytes(), k
@@ -327,6 +356,26 @@ class TestGruWorkspaceBytes:
             for k, v in ref.items():
                 assert grads[i][k].tobytes() == v.tobytes(), (i, k)
         assert dx.tobytes() == d.tobytes()
+
+
+class TestGruRowIndependence:
+    """An inference row's bytes do not depend on the other rows of its
+    batch. BLAS takes a one-row float32 product through gemv, which rounds
+    differently from the gemm of a wider batch, so a one-row batch runs as
+    two rows."""
+
+    def test_rows_match_every_batch_size(self):
+        rng = np.random.default_rng(21)
+        stack = GruStack(24, layers=3, rng=rng)
+        for layer in stack.layers:
+            layer.bx[:] = rng.normal(size=layer.bx.shape)
+        x = rng.normal(size=(25, 256, 24))
+        full, _ = stack.forward(x, keep_cache=False)
+        for batch in (1, 2, 3, 5, 16, 17, 255):
+            out, _ = stack.forward(x[:, :batch], keep_cache=False)
+            assert out.tobytes() == full[:, :batch].tobytes(), batch
+            last, _ = stack.forward(x[:, 256 - batch:], keep_cache=False)
+            assert last.tobytes() == full[:, 256 - batch:].tobytes(), batch
 
 
 class TestAdam:

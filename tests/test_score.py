@@ -154,6 +154,19 @@ class TestDetect:
         assert np.all(np.isfinite(series.scores))
         assert np.all(series.scores >= 0)
 
+    @pytest.mark.parametrize("T, P, frame_len", [(16, 4, 8), (6, 2, 4)])
+    def test_coverage_counts_match_int64_oracle(self, T, P, frame_len):
+        # stored as uint8; T = 6 slides at stride 1, so up to 6 windows a point
+        m = CoopModel(CoopConfig(T=T, P=P, H=3, K=2, layers=1, frame_len=frame_len))
+        x = np.random.default_rng(12).normal(size=203)
+        origins = window_origins(len(x), T, max(1, T // 4))
+        want = np.zeros(len(x), dtype=np.int64)
+        for o in origins:
+            want[o:o + T] += 1
+        got = detect(x, m).coverage
+        assert got.dtype == np.uint8
+        assert np.array_equal(got.astype(np.int64), want)
+
     def test_deterministic(self):
         m = small_model(seed=5)
         x = np.random.default_rng(6).normal(size=200)

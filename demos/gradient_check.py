@@ -25,11 +25,11 @@ patch_labels = np.array([[0, 1, 0, 0], [0, 0, 1, 1]], dtype=np.int8)
 
 
 def loss():
-    breakdown, _, _ = loss_and_grads(model, x_distorted, x_clean, patch_labels)
+    breakdown, _ = loss_and_grads(model, x_distorted, x_clean, patch_labels)
     return breakdown.total
 
 
-breakdown, grads, _ = loss_and_grads(model, x_distorted, x_clean, patch_labels)
+breakdown, grads = loss_and_grads(model, x_distorted, x_clean, patch_labels)
 print(f"loss = {breakdown.total:.6f} "
       f"(bce {breakdown.bce:.6f} + lam*mse {config.lam * breakdown.mse:.6f})")
 print(f"checking {model.num_params()} parameters across "

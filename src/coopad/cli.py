@@ -1,17 +1,25 @@
 """Command-line front end: train, detect, eval, inject, bench.
 
 Exit codes: 0 success, 2 usage error (also a train, inject or bench
-number out of range, more --freq-bins than the period's STFT frame has,
-or --split given for a UCR file, whose name holds its split),
+number out of range, a --freq-bins or --lam the model settings below
+reject, or --split given for a UCR file, whose name holds its split),
 3 data error (also a file that cannot be read or written, non-finite input
 values, a CSV label other than 0 or 1, a test region or bench series
-shorter than the window, a config.json that is not valid JSON or lacks a
-field, a model.ckpt that is truncated or does not match config.json, or a
-scores CSV for eval that is not UTF-8, has a wrong header, a row that is
-not three numbers, a NaN or inf score or not one row per test point, or
-eval data without labels), 4 numeric failure (also non-finite detect
-scores, in which case no scores CSV is written). The command group maps
-errors to these codes in one place (`_Coopad.invoke`).
+shorter than the window, a config.json that is not valid JSON, lacks a
+field or holds a bad value, a model.ckpt that is truncated or does not
+match config.json, or a scores CSV for eval that is not UTF-8, has a wrong
+header, a row that is not three numbers, a NaN or inf score or not one row
+per test point, or eval data without labels), 4 numeric failure (also
+non-finite detect scores, in which case no scores CSV is written). The
+command group maps errors to these codes in one place (`_Coopad.invoke`).
+
+The model settings are valid when T, P, H, K, layers and frame_len are
+integers >= 1, smooth_window is an integer >= 0, T is a multiple of P,
+frame_len is even and at most T, K is at most frame_len/2 + 1 and lam is a
+finite number >= 0; `CoopConfig` alone checks them. In config.json,
+norm_mean and norm_std must also be finite numbers, and hard_threshold
+null or a finite number, and not null under hard masking.
+
 Every run directory is self-describing: config.json plus the seed are
 enough to reproduce outputs bit-for-bit.
 """
@@ -106,13 +114,14 @@ def cmd_train(data_path, out_dir, seed, epochs, lr, batch, lam, hidden, layers,
     stats = train_stats(series)
     norm = zscore(series.values, stats)
     period = estimate_period(norm[: series.split]).period
-    config = CoopConfig.for_period(
-        period, P=patch, H=hidden, K=freq_bins, layers=layers, lam=lam,
-        masking=masking, granularity=granularity, fusion=fusion)
     try:
-        model = CoopModel(config, seed=seed)
-    except ValueError as e:  # the flags' ranges hold; K <= frame_len/2 + 1 is left
-        raise click.BadParameter(f"{e} (period {period})", param_hint="'--freq-bins'") from None
+        config = CoopConfig.for_period(
+            period, P=patch, H=hidden, K=freq_bins, layers=layers, lam=lam,
+            masking=masking, granularity=granularity, fusion=fusion)
+    except ValueError as e:  # the flags' ranges leave K <= frame_len/2 + 1 and a finite lam
+        raise click.BadParameter(f"{e} (period {period})",
+                                 param_hint=["--freq-bins", "--lam"]) from None
+    model = CoopModel(config, seed=seed)
     tcfg = TrainConfig(lr=lr, epochs=epochs, batch=batch, seed=seed,
                        distortion_prob=distortion_prob,
                        exclude_kinds=tuple(exclude_kinds))
@@ -141,13 +150,22 @@ def cmd_train(data_path, out_dir, seed, epochs, lr, batch, lam, hidden, layers,
                    % (log.epochs[-1][3], log.epochs[-1][1], log.epochs[-1][2]))
 
 
+def _finite(value, name):
+    """A config.json number as a float; ValueError naming the field unless
+    it is a finite JSON number."""
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{name} must be a finite number, not {value!r}")
+    return float(value)
+
+
 def load_run(run_dir):
     """Rebuild a trained model from a run directory (config.json + model.ckpt).
 
     Returns (model, train-region NormalizationStats, the train/test split
     train recorded, or None). Raises CheckpointError when config.json is not
     valid JSON, lacks a field or holds a bad value, or the checkpoint's
-    config block, tensor names or shapes do not match it."""
+    config block, tensor names or shapes do not match it. Both files are
+    checked before the model is allocated."""
     cfg_path = os.path.join(run_dir, "config.json")
     ckpt_path = os.path.join(run_dir, "model.ckpt")
     if not os.path.exists(cfg_path) or not os.path.exists(ckpt_path):
@@ -156,12 +174,17 @@ def load_run(run_dir):
         with open(cfg_path, encoding="utf-8") as f:
             run_cfg = json.load(f)
         config = CoopConfig.from_dict(run_cfg["model"])
-        model = CoopModel(config, seed=run_cfg["train"]["seed"])
-        stats = NormalizationStats(float(run_cfg["data"]["norm_mean"]),
-                                   float(run_cfg["data"]["norm_std"]))
+        stats = NormalizationStats(_finite(run_cfg["data"]["norm_mean"], "norm_mean"),
+                                   _finite(run_cfg["data"]["norm_std"], "norm_std"))
         split = run_cfg["data"].get("split")
         if split is not None and type(split) is not int:
             raise ValueError(f"split must be an integer, not {split!r}")
+        threshold = run_cfg.get("hard_threshold")
+        if threshold is not None:
+            threshold = _finite(threshold, "hard_threshold")
+        elif config.masking == "hard":
+            raise ValueError("hard_threshold is null: the run was never calibrated "
+                             "for hard masking")
     except KeyError as e:
         raise CheckpointError(f"{cfg_path}: missing field {e}") from e
     except (ValueError, TypeError) as e:
@@ -170,15 +193,16 @@ def load_run(run_dir):
         block, tensors = load_checkpoint(ckpt_path)
     except CheckpointError as e:
         raise CheckpointError(f"{ckpt_path}: {e}") from e
-    if block != model.config_block():
+    if block != config.block():
         raise CheckpointError(
             f"{ckpt_path}: config block (T, P, H, K, layers, lam) = {block} "
-            f"does not match config.json {model.config_block()}")
+            f"does not match config.json {config.block()}")
+    model = CoopModel(config)  # every tensor is overwritten below
     try:
         model.load_tensors(tensors)
     except (KeyError, ValueError) as e:
         raise CheckpointError(f"{ckpt_path}: {e}") from e
-    model.hard_threshold = run_cfg.get("hard_threshold")
+    model.hard_threshold = threshold
     return model, stats, split
 
 

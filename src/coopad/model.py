@@ -18,7 +18,11 @@ pass by about 1e-8 on an untrained model and by up to 1.7e-7 after the
 always boxcar. Ablation behavior is selected by four config flags: masking
 strategy, classification granularity, branch fusion and scoring; the
 default configuration is soft masking, patch granularity, max fusion,
-joint scoring.
+joint scoring. Hard masking thresholds at the mean plus three standard
+deviations of the fused probabilities of the last training batch; an
+inference forward of a hard-masking model that was never trained raises,
+as there is no calibrated threshold. `CoopConfig` is the one place that decides whether
+the settings are valid; nothing downstream checks them again.
 
 The frequency branch reads per-patch STFT features framed straight from
 each window (`spectral.stft_apply` with the model's patch kernel). The
@@ -31,6 +35,8 @@ loading and detect never allocate it (256 MB at T = 2000).
 from __future__ import annotations
 
 import functools
+import math
+import numbers
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -61,10 +67,22 @@ class CoopConfig:
     smooth_window: int = 0  # 0 -> use P
 
     def __post_init__(self):
+        for name in ("T", "P", "H", "K", "layers", "frame_len", "smooth_window"):
+            value = getattr(self, name)
+            least = 0 if name == "smooth_window" else 1
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) \
+                    or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, not {value!r}")
         if self.T % self.P != 0:
             raise ValueError(f"T={self.T} must be a multiple of P={self.P}")
-        if self.H < 1 or self.layers < 1 or self.lam < 0:
-            raise ValueError("H >= 1, layers >= 1, lam >= 0 required")
+        if self.frame_len % 2 != 0 or self.frame_len > self.T:
+            raise ValueError(f"frame_len={self.frame_len} must be even and at most "
+                             f"T={self.T}")
+        if self.K > self.frame_len // 2 + 1:
+            raise ValueError(f"K={self.K} exceeds frame_len//2+1={self.frame_len // 2 + 1}")
+        if not isinstance(self.lam, numbers.Real) or isinstance(self.lam, bool) \
+                or not 0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be a finite number >= 0, not {self.lam!r}")
         if self.masking not in MASKINGS:
             raise ValueError(f"masking must be one of {MASKINGS}")
         if self.granularity not in GRANULARITIES:
@@ -77,6 +95,10 @@ class CoopConfig:
     @property
     def N(self):
         return self.T // self.P
+
+    def block(self):
+        """(T, P, H, K, layers, lam): the config block a checkpoint stores."""
+        return (self.T, self.P, self.H, self.K, self.layers, self.lam)
 
     def to_dict(self):
         return asdict(self)
@@ -125,15 +147,17 @@ def mask_coefficients(fused_probs, config, rng=None, threshold=None):
     """Per-patch mask weights for the reconstruction blend.
 
     Returns (coefficients, grad_flows): gradient flows back into the
-    classifier only in soft mode; the binary variants are constants.
+    classifier only in soft mode; the binary variants are constants. Hard
+    masking needs the threshold training calibrated (ValueError without it).
     """
     a = fused_probs
     mode = config.masking
     if mode == "soft":
         return a, True
     if mode == "hard":
-        thr = hard_mask_threshold(a) if threshold is None else threshold
-        return (a > thr).astype(np.float64), False
+        if threshold is None:
+            raise ValueError("hard masking needs the threshold training calibrates")
+        return (a > threshold).astype(np.float64), False
     if mode == "random":
         if rng is None:
             rng = np.random.default_rng(0)
@@ -440,8 +464,7 @@ class CoopModel:
     # -- persistence ------------------------------------------------------
 
     def config_block(self):
-        c = self.config
-        return (c.T, c.P, c.H, c.K, c.layers, c.lam)
+        return self.config.block()
 
     def load_tensors(self, tensors):
         """Copy loaded values into the live tensors.

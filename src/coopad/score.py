@@ -57,8 +57,8 @@ def smooth(scores, w):
         return scores.copy()
     if w % 2 == 0:
         w += 1
-    half = w // 2
     n = len(scores)
+    half = min(w // 2, n)  # a wider window spans the whole series from every point
     csum = np.empty(n + 1)
     csum[0] = 0.0
     np.cumsum(scores, out=csum[1:])

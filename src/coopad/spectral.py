@@ -9,6 +9,10 @@ the spectrogram as an explicit (2K*T, T) operator, row (k, t) holding the
 DFT weights of bin k for the frame centered at t; the model's backward
 pass uses its transpose product as the adjoint, and builds it on its first
 backward, so inference never holds it.
+
+The functions take their shapes as `CoopConfig` validated them (frame_len
+even and at most T, K at most frame_len/2 + 1, T a multiple of P) and do
+not check them again.
 """
 
 from __future__ import annotations
@@ -25,10 +29,6 @@ def frame_len_for_period(period):
 def _dft_weights(frame_len, K):
     """(2K, frame_len) boxcar DFT weights of one frame: cosines of bins
     0..K-1, then the matching negated sines (the imaginary parts)."""
-    if frame_len % 2 != 0:
-        raise ValueError("frame_len must be even")
-    if K > frame_len // 2 + 1:
-        raise ValueError(f"K={K} exceeds frame_len//2+1={frame_len // 2 + 1}")
     angles = 2.0 * np.pi * np.outer(np.arange(K), np.arange(frame_len)) / frame_len
     return np.concatenate([np.cos(angles), -np.sin(angles)])
 
@@ -43,8 +43,6 @@ def stft_matrix(T, frame_len, K):
     the edge sample. Each entry sums its weights in increasing j.
     """
     weights = _dft_weights(frame_len, K)
-    if T < frame_len:
-        raise ValueError(f"window length {T} shorter than frame_len {frame_len}")
     cosw, sinw = weights[:K], weights[K:]
     # src[t + j] is the reflected source sample of frame t's offset j
     src = np.pad(np.arange(T), frame_len // 2, mode="reflect")
@@ -89,9 +87,6 @@ def stft_apply(kernel, x, P):
     B, T = x.shape
     width = kernel.shape[0]
     frame_len = width - P + 1
-    if T % P != 0 or T < frame_len:
-        raise ValueError(f"window length {T} must be a multiple of P={P} "
-                         f"and at least frame_len {frame_len}")
     n = T // P
     xpad = np.pad(x, ((0, 0), (frame_len // 2, frame_len // 2)), mode="reflect")
     frames = np.lib.stride_tricks.sliding_window_view(xpad, width, axis=1)[:, :n * P:P]

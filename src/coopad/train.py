@@ -76,8 +76,7 @@ def mse_loss(x_r, x_clean):
 def loss_and_grads(model, x_distorted, x_clean, patch_labels, rng=None):
     """One batch: forward, loss terms, full backward.
 
-    Returns (LossBreakdown, grads, ForwardResult); the result's backward
-    cache is dropped once backward has used it.
+    Returns (LossBreakdown, grads).
     """
     result = model.forward(x_distorted, rng=rng, keep_cache=True)
     y = np.asarray(patch_labels, dtype=np.float64).T  # (B, N) in -> (N, B)
@@ -88,10 +87,7 @@ def loss_and_grads(model, x_distorted, x_clean, patch_labels, rng=None):
     d_ac = (ac - y) / (ac * (1.0 - ac)) / ac.size
     d_xr = lam * 2.0 * resid / resid.size
     grads = model.backward(result.cache, d_ac, d_xr)
-    # the caller may hold the result through the next batch, and its
-    # caches are the largest allocation of a training step
-    result.cache = None
-    return LossBreakdown(bce=bce, mse=mse, total=total), grads, result
+    return LossBreakdown(bce=bce, mse=mse, total=total), grads
 
 
 def clip_grads(grads, max_norm):
@@ -131,7 +127,7 @@ def train_epoch(train_values, period, model, tcfg, adam, rng):
             if event is not None:
                 _, start, end = event
                 labels[j, start // P:end // P + 1] = 1
-        loss, grads, _ = loss_and_grads(model, distorted, clean, labels, rng=rng)
+        loss, grads = loss_and_grads(model, distorted, clean, labels, rng=rng)
         if not np.isfinite(loss.total):
             raise NumericError(
                 f"non-finite loss (bce={loss.bce}, mse={loss.mse}) "

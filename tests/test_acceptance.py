@@ -77,10 +77,10 @@ def test_01_gradient_certification():
     labels = np.array([[0, 1, 0, 0], [0, 0, 1, 1]], dtype=np.int8)
 
     def loss():
-        lb, _, _ = loss_and_grads(model, x_dist, x_clean, labels)
+        lb, _ = loss_and_grads(model, x_dist, x_clean, labels)
         return lb.total
 
-    _, grads, _ = loss_and_grads(model, x_dist, x_clean, labels)
+    _, grads = loss_and_grads(model, x_dist, x_clean, labels)
     rep = grad_check(loss, model.tensors, grads, h=1e-5)
     worst_name = max(rep, key=rep.get)
     worst = rep[worst_name]

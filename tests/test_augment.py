@@ -145,7 +145,7 @@ class TestTrainingLabels:
 
         def record_labels(model, x_distorted, x_clean, patch_labels, rng=None):
             labels.extend(patch_labels.copy())
-            return train.LossBreakdown(0.0, 0.0, 0.0), {}, None
+            return train.LossBreakdown(0.0, 0.0, 0.0), {}
 
         model = SimpleNamespace(config=SimpleNamespace(T=T, P=P, N=N), tensors={})
         with pytest.MonkeyPatch.context() as mp:

@@ -43,7 +43,7 @@ def directional_errors(model, B, seed=0):
     def loss():
         return loss_and_grads(model, x_dist, x_clean, labels)[0].total
 
-    _, grads, _ = loss_and_grads(model, x_dist, x_clean, labels)
+    _, grads = loss_and_grads(model, x_dist, x_clean, labels)
     theta = {k: v.copy() for k, v in model.tensors.items()}
     errors = []
     for _ in range(DIRECTIONS):

@@ -28,8 +28,8 @@ class TestConfig:
         assert CoopConfig(T=32, P=8).N == 4
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            CoopConfig(T=30, P=8)
+        with pytest.raises(ValueError, match="T=30"):
+            CoopConfig(T=30, P=8)  # T not a multiple of P
         with pytest.raises(ValueError):
             CoopConfig(T=16, P=4, masking="fuzzy")
         with pytest.raises(ValueError):
@@ -219,8 +219,8 @@ class TestInferenceRowIndependence:
     def test_rows_match_every_batch_size(self, overrides):
         m = CoopModel(CoopConfig.for_period(50, **overrides), seed=2)
         x = np.random.default_rng(3).normal(size=(256, m.config.T))
-        # hard masking at inference uses the threshold training calibrated
-        m.hard_threshold = hard_mask_threshold(m.forward(x).probs.fused)
+        # hard masking at inference uses the threshold a training pass calibrates
+        m.forward(x, keep_cache=True)
         full = m.forward(x)
         full_scores = score.pointwise_scores(x, full)
         for rows in (slice(0, 1), slice(0, 2), slice(0, 3), slice(0, 5), slice(0, 16),
@@ -402,7 +402,7 @@ class TestAblationGradients:
             return loss_and_grads(model, x_dist, x_clean, labels,
                                   rng=np.random.default_rng(5))
 
-        _, grads, _ = run()
+        _, grads = run()
         rep = grad_check(lambda: run()[0].total, model.tensors, grads, h=1e-5)
         worst = max(rep, key=rep.get)
         assert rep[worst] < 1e-3, f"{worst}: max rel err {rep[worst]:.3e}"

@@ -174,21 +174,23 @@ class TestStft:
                                atol=1e-12)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            stft_matrix(32, 7, 3)  # odd frame
-        with pytest.raises(ValueError):
-            stft_matrix(32, 8, 6)  # K too large
-        with pytest.raises(ValueError):
-            stft_matrix(4, 8, 3)  # window shorter than frame
-        with pytest.raises(ValueError):
-            stft_patch_kernel(4, 7, 3)  # odd frame
-        with pytest.raises(ValueError):
-            stft_patch_kernel(4, 8, 6)  # K too large
-        kernel = stft_patch_kernel(4, 8, 3)
-        with pytest.raises(ValueError):
-            stft_apply(kernel, np.zeros((1, 30)), 4)  # T not a multiple of P
-        with pytest.raises(ValueError):
-            stft_apply(kernel, np.zeros((1, 4)), 4)  # window shorter than frame
+        # the STFT functions do not check their shapes: CoopConfig refuses
+        # every shape they cannot take, each error naming its field
+        with pytest.raises(ValueError, match="frame_len"):
+            CoopConfig(T=32, P=4, frame_len=7, K=3)  # odd frame
+        with pytest.raises(ValueError, match="K=6"):
+            CoopConfig(T=32, P=4, frame_len=8, K=6)  # K too large
+        with pytest.raises(ValueError, match="frame_len"):
+            CoopConfig(T=4, P=4, frame_len=8, K=3)  # window shorter than frame
+        with pytest.raises(ValueError, match="T=30"):
+            CoopConfig(T=30, P=4, frame_len=8, K=3)  # T not a multiple of P
+        # the largest shapes it admits (frame_len == T, K == frame_len/2 + 1)
+        # run through all three
+        c = CoopConfig(T=8, P=4, frame_len=8, K=5)
+        assert stft_matrix(c.T, c.frame_len, c.K).shape == (2 * c.K * c.T, c.T)
+        kernel = stft_patch_kernel(c.P, c.frame_len, c.K)
+        feats = stft_apply(kernel, np.zeros((1, c.T)), c.P)
+        assert feats.shape == (c.N, 1, c.P * 2 * c.K)
 
 
 class TestFramedFeatures:

@@ -67,11 +67,10 @@ class TestLossAndGrads:
         rng = np.random.default_rng(0)
         x = rng.normal(size=(2, 16))
         labels = np.zeros((2, 4), dtype=np.int8)
-        loss, grads, result = loss_and_grads(m, x, x, labels)
+        loss, grads = loss_and_grads(m, x, x, labels)
         assert np.isclose(loss.total, loss.bce + m.config.lam * loss.mse,
                           atol=1e-12)
-        assert loss.mse == mse_loss(result.x_r, x)[0]
-        assert result.cache is None  # freed once backward has used it
+        assert loss.mse == mse_loss(m.forward(x, keep_cache=True).x_r, x)[0]
         assert set(grads) == set(m.tensors)
         for k, g in grads.items():
             assert g.shape == m.tensors[k].shape
@@ -80,8 +79,8 @@ class TestLossAndGrads:
     def test_gradients_deterministic(self):
         x = np.random.default_rng(1).normal(size=(2, 16))
         labels = np.array([[0, 1, 0, 0], [0, 0, 0, 0]], dtype=np.int8)
-        _, g1, _ = loss_and_grads(small_model(seed=2), x, x, labels)
-        _, g2, _ = loss_and_grads(small_model(seed=2), x, x, labels)
+        _, g1 = loss_and_grads(small_model(seed=2), x, x, labels)
+        _, g2 = loss_and_grads(small_model(seed=2), x, x, labels)
         for k in g1:
             assert np.array_equal(g1[k], g2[k])
 

@@ -17,8 +17,8 @@ The model settings are valid when T, P, H, K, layers and frame_len are
 integers >= 1, smooth_window is an integer >= 0, T is a multiple of P,
 frame_len is even and at most T, K is at most frame_len/2 + 1 and lam is a
 finite number >= 0; `CoopConfig` alone checks them. In config.json,
-norm_mean and norm_std must also be finite numbers, and hard_threshold
-null or a finite number, and not null under hard masking.
+norm_mean must also be a finite number, norm_std a finite number >= 0, and
+hard_threshold null or a finite number, and not null under hard masking.
 
 Every run directory is self-describing: config.json plus the seed are
 enough to reproduce outputs bit-for-bit.
@@ -132,7 +132,7 @@ def cmd_train(data_path, out_dir, seed, epochs, lr, batch, lam, hidden, layers,
     log = fit(norm[: series.split], period, model, tcfg)
     os.makedirs(out_dir, exist_ok=True)
     save_checkpoint(os.path.join(out_dir, "model.ckpt"),
-                    model.config_block(), model.tensors)
+                    model.config.block(), model.tensors)
     run_cfg = {
         "model": config.to_dict(),
         "train": dataclasses.asdict(tcfg),
@@ -176,6 +176,8 @@ def load_run(run_dir):
         config = CoopConfig.from_dict(run_cfg["model"])
         stats = NormalizationStats(_finite(run_cfg["data"]["norm_mean"], "norm_mean"),
                                    _finite(run_cfg["data"]["norm_std"], "norm_std"))
+        if stats.std < 0:  # zscore would flip the series' sign
+            raise ValueError(f"norm_std must be >= 0, not {stats.std!r}")
         split = run_cfg["data"].get("split")
         if split is not None and type(split) is not int:
             raise ValueError(f"split must be an integer, not {split!r}")

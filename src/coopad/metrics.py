@@ -1,8 +1,9 @@
 """Evaluation suite: threshold-max F1, AUC-PR, buffered Range-AUC-PR, VUS-PR,
 and single-anomaly top-k accuracy.
 
-All metrics use `score >= threshold` semantics, sweeping the distinct score
-values in descending order; tied scores flip together. The range-based
+All metrics use `score >= threshold` semantics: a call ranks the scores
+once (a stable descending sort; tied scores flip together), and each metric
+sweeps one weighting of the points down that ranking. The range-based
 variants weight points near anomaly boundaries with a linear ramp falling
 from 1 at the boundary to 0 at distance buffer+1.
 """
@@ -61,35 +62,52 @@ def average_anomaly_length(labels):
     return float(np.mean([e - s + 1 for s, e in ranges]))
 
 
-def _threshold_sweep(scores, weights):
-    """Cumulative weighted TP and prediction counts at each distinct score
-    threshold (descending). Returns (tp, npred) arrays per threshold."""
-    order = np.argsort(scores, kind="stable")[::-1]
-    s_sorted = scores[order]
-    w_sorted = weights[order]
-    cum_tp = np.cumsum(w_sorted)
-    counts = np.arange(1, len(scores) + 1)
-    # last index of each tie group = threshold boundary
-    boundary = np.nonzero(np.diff(s_sorted))[0]
-    last = np.concatenate([boundary, [len(scores) - 1]])
-    return cum_tp[last], counts[last]
-
-
-def standard_f1(scores, labels):
-    """Maximum pointwise F1 over all distinct-score thresholds."""
+def _ranked(scores, labels):
+    """Validate once and rank once: (float64 labels, the descending stable
+    order of the scores, the sorted index that ends each tie group)."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     if scores.shape != labels.shape:
         raise MetricError("scores/labels length mismatch")
-    pos = labels.sum()
-    if pos == 0:
-        raise MetricError("no positive labels; F1 undefined")
-    tp, npred = _threshold_sweep(scores, labels)
-    precision = tp / npred
-    recall = tp / pos
+    if labels.sum() == 0:
+        raise MetricError("no positive labels")
+    order = np.argsort(scores, kind="stable")[::-1]
+    last = np.append(np.nonzero(np.diff(scores[order]))[0], len(scores) - 1)
+    return labels, order, last
+
+
+def _sweep(ranked, weights):
+    """(precision, recall) of `weights` at each threshold of a ranking."""
+    _, order, last = ranked
+    tp = np.cumsum(weights[order])[last]
+    return tp / (last + 1), tp / weights.sum()
+
+
+def _f1(ranked):
+    precision, recall = _sweep(ranked, ranked[0])
     denom = precision + recall
     f1 = np.where(denom > 0, 2.0 * precision * recall / np.maximum(denom, 1e-300), 0.0)
     return float(f1.max())
+
+
+def _area(ranked, buffer):
+    precision, recall = _sweep(ranked, buffered_weights(ranked[0], buffer))
+    prev = np.concatenate([[0.0], recall[:-1]])
+    return float(((recall - prev) * precision).sum())
+
+
+def _vus(ranked, max_buffer):
+    if max_buffer <= 0:
+        return _area(ranked, 0.0)
+    buffers = np.linspace(0.0, max_buffer, VUS_STEPS)
+    values = np.array([_area(ranked, b) for b in buffers])
+    area = (np.diff(buffers) * (values[1:] + values[:-1]) / 2.0).sum()
+    return float(area / max_buffer)
+
+
+def standard_f1(scores, labels):
+    """Maximum pointwise F1 over all distinct-score thresholds."""
+    return _f1(_ranked(scores, labels))
 
 
 def auc_pr(scores, labels):
@@ -101,38 +119,28 @@ def auc_pr(scores, labels):
 def buffered_weights(labels, buffer):
     """Point weights: 1 inside anomaly ranges, linear ramp 1 -> 0 over
     `buffer` points on each side, max over overlapping ranges."""
-    labels = np.asarray(labels).astype(np.float64)
-    w = labels.copy()
+    w = np.asarray(labels).astype(np.float64)
     if buffer <= 0:
         return w
-    n = len(labels)
-    idx = np.arange(n, dtype=np.float64)
-    for s, e in anomaly_ranges(labels):
-        left = np.maximum(0.0, 1.0 - (s - idx[:s]) / (buffer + 1.0))
-        w[:s] = np.maximum(w[:s], left)
-        right = np.maximum(0.0, 1.0 - (idx[e + 1:] - e) / (buffer + 1.0))
-        w[e + 1:] = np.maximum(w[e + 1:], right)
+    n = len(w)
+    # ramp[d - 1] is the weight at distance d; it is 0 from ceil(buffer) + 1
+    # on, and fmin keeps the whole series for a NaN or infinite buffer
+    reach = int(np.fmin(np.ceil(buffer), n))
+    ramp = np.maximum(0.0, 1.0 - np.arange(1, reach + 1) / (buffer + 1.0))
+    for s, e in anomaly_ranges(w):
+        lo, hi = max(0, s - reach), min(n, e + 1 + reach)
+        w[lo:s] = np.maximum(w[lo:s], ramp[:s - lo][::-1])
+        w[e + 1:hi] = np.maximum(w[e + 1:hi], ramp[:hi - e - 1])
     return w
 
 
 def range_auc_pr(scores, labels, buffer=None):
     """AUC-PR with ramp-weighted labels; buffer defaults to the average
     anomaly length. buffer=0 reduces exactly to plain AUC-PR."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    if scores.shape != labels.shape:
-        raise MetricError("scores/labels length mismatch")
-    if labels.sum() == 0:
-        raise MetricError("no positive labels")
+    ranked = _ranked(scores, labels)
     if buffer is None:
-        buffer = average_anomaly_length(labels)
-    w = buffered_weights(labels, buffer)
-    tp, npred = _threshold_sweep(scores, w)
-    total = w.sum()
-    precision = tp / npred
-    recall = tp / total
-    prev = np.concatenate([[0.0], recall[:-1]])
-    return float(((recall - prev) * precision).sum())
+        buffer = average_anomaly_length(ranked[0])
+    return _area(ranked, buffer)
 
 
 def vus_pr(scores, labels, max_buffer=None):
@@ -141,12 +149,7 @@ def vus_pr(scores, labels, max_buffer=None):
     average anomaly length, and max_buffer <= 0 gives plain AUC-PR."""
     if max_buffer is None:
         max_buffer = 2.0 * average_anomaly_length(labels)
-    if max_buffer <= 0:
-        return range_auc_pr(scores, labels, buffer=0.0)
-    buffers = np.linspace(0.0, max_buffer, VUS_STEPS)
-    values = np.array([range_auc_pr(scores, labels, buffer=b) for b in buffers])
-    area = (np.diff(buffers) * (values[1:] + values[:-1]) / 2.0).sum()
-    return float(area / max_buffer)
+    return _vus(_ranked(scores, labels), max_buffer)
 
 
 def select_peaks(scores, k):
@@ -177,19 +180,16 @@ def topk_accuracy(scores, anomaly_range, k):
 
 
 def evaluate(scores, labels):
-    """Full report for one dataset; top-k (TOPK_KS) only when there is one anomaly."""
+    """Full report for one dataset from one ranking of the scores; top-k
+    (TOPK_KS) only when there is one anomaly."""
+    ranked = _ranked(scores, labels)
+    mean_length = average_anomaly_length(labels)
     ranges = anomaly_ranges(labels)
-    topk = {}
-    if len(ranges) == 1:
-        for k in TOPK_KS:
-            topk[k] = topk_accuracy(scores, ranges[0], k)
-    return MetricsReport(
-        f1=standard_f1(scores, labels),
-        auc_pr=auc_pr(scores, labels),
-        r_auc_pr=range_auc_pr(scores, labels),
-        vus_pr=vus_pr(scores, labels),
-        topk=topk,
-    )
+    topk = ({k: topk_accuracy(scores, ranges[0], k) for k in TOPK_KS}
+            if len(ranges) == 1 else {})
+    return MetricsReport(f1=_f1(ranked), auc_pr=_area(ranked, 0.0),
+                         r_auc_pr=_area(ranked, mean_length),
+                         vus_pr=_vus(ranked, 2.0 * mean_length), topk=topk)
 
 
 def aggregate_reports(reports):

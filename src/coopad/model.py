@@ -159,8 +159,9 @@ def mask_coefficients(fused_probs, config, rng=None, threshold=None):
             raise ValueError("hard masking needs the threshold training calibrates")
         return (a > threshold).astype(np.float64), False
     if mode == "random":
-        if rng is None:
-            rng = np.random.default_rng(0)
+        if rng is None:  # one column for every window, so no row depends on its batch
+            column = np.random.default_rng(0).random((a.shape[0], 1)) < RANDOM_MASK_RATE
+            return np.broadcast_to(column, a.shape).astype(np.float64), False
         return (rng.random(a.shape) < RANDOM_MASK_RATE).astype(np.float64), False
     if mode == "grating":
         phase = int(rng.integers(2)) if rng is not None else 0
@@ -462,9 +463,6 @@ class CoopModel:
                 grads[f"{prefix}.l{i}.{k}"] += v
 
     # -- persistence ------------------------------------------------------
-
-    def config_block(self):
-        return self.config.block()
 
     def load_tensors(self, tensors):
         """Copy loaded values into the live tensors.

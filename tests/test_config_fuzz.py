@@ -92,6 +92,7 @@ NAMED = [
      "hard_threshold is null: the run was never calibrated"),
     ("T_str", set_field("model", "T", "abc"), "T"),
     ("lam_nan", set_field("model", "lam", math.nan), "lam"),
+    ("norm_std_negative", set_field("data", "norm_std", -1), "norm_std"),
 ]
 
 
@@ -107,6 +108,13 @@ def test_bad_setting_exits_3_naming_the_field(run, edit, message):
 
 def test_unedited_run_scores(run):
     r, wrote = detect_with(run, lambda cfg: None)
+    assert r.exit_code == 0, r.output
+    assert wrote
+
+
+def test_zero_norm_std_scores(run):
+    # train writes 0 for a constant train region; zscore maps the test region to zeros
+    r, wrote = detect_with(run, set_field("data", "norm_std", 0))
     assert r.exit_code == 0, r.output
     assert wrote
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopad.metrics import (MetricError, aggregate_reports, anomaly_ranges,
+from coopad.metrics import (VUS_STEPS, MetricError, aggregate_reports, anomaly_ranges,
                             auc_pr, average_anomaly_length, buffered_weights,
                             evaluate, range_auc_pr, select_peaks, standard_f1,
                             topk_accuracy, vus_pr)
@@ -102,6 +102,78 @@ def oracle_topk(scores, anomaly_range, k, radius=100, exclusion=100):
         taken.append(best_i)
     s, e = anomaly_range
     return 1 if any(s - radius <= i <= e + radius for i in taken) else 0
+
+
+# ---------------------------------------------------------------------------
+# per-call-sort oracle: each metric sorts the scores on its own, and each
+# ramp is written over the whole series
+# ---------------------------------------------------------------------------
+
+
+def sorted_sweep(scores, weights):
+    order = np.argsort(scores, kind="stable")[::-1]
+    s_sorted = scores[order]
+    w_sorted = weights[order]
+    cum_tp = np.cumsum(w_sorted)
+    counts = np.arange(1, len(scores) + 1)
+    boundary = np.nonzero(np.diff(s_sorted))[0]
+    last = np.concatenate([boundary, [len(scores) - 1]])
+    return cum_tp[last], counts[last]
+
+
+def sorted_f1(scores, labels):
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.float64)
+    pos = labels.sum()
+    tp, npred = sorted_sweep(scores, labels)
+    precision = tp / npred
+    recall = tp / pos
+    denom = precision + recall
+    f1 = np.where(denom > 0, 2.0 * precision * recall / np.maximum(denom, 1e-300), 0.0)
+    return float(f1.max())
+
+
+def full_series_weights(labels, buffer):
+    labels = np.asarray(labels).astype(np.float64)
+    w = labels.copy()
+    if buffer <= 0:
+        return w
+    idx = np.arange(len(labels), dtype=np.float64)
+    for s, e in oracle_ranges(labels):
+        left = np.maximum(0.0, 1.0 - (s - idx[:s]) / (buffer + 1.0))
+        w[:s] = np.maximum(w[:s], left)
+        right = np.maximum(0.0, 1.0 - (idx[e + 1:] - e) / (buffer + 1.0))
+        w[e + 1:] = np.maximum(w[e + 1:], right)
+    return w
+
+
+def sorted_range_auc_pr(scores, labels, buffer=None):
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.float64)
+    if buffer is None:
+        buffer = average_anomaly_length(labels)
+    w = full_series_weights(labels, buffer)
+    tp, npred = sorted_sweep(scores, w)
+    total = w.sum()
+    precision = tp / npred
+    recall = tp / total
+    prev = np.concatenate([[0.0], recall[:-1]])
+    return float(((recall - prev) * precision).sum())
+
+
+def sorted_vus_pr(scores, labels, max_buffer=None):
+    if max_buffer is None:
+        max_buffer = 2.0 * average_anomaly_length(labels)
+    if max_buffer <= 0:
+        return sorted_range_auc_pr(scores, labels, buffer=0.0)
+    buffers = np.linspace(0.0, max_buffer, VUS_STEPS)
+    values = np.array([sorted_range_auc_pr(scores, labels, buffer=b) for b in buffers])
+    area = (np.diff(buffers) * (values[1:] + values[:-1]) / 2.0).sum()
+    return float(area / max_buffer)
+
+
+def bits(value):
+    return np.float64(value).tobytes()
 
 
 def random_instance(rng):
@@ -292,6 +364,59 @@ class TestOracleSweep:
             mb = float(rng.uniform(0, 10))
             assert abs(vus_pr(scores, labels, max_buffer=mb)
                        - oracle_vus(scores, labels, mb)) < 1e-9
+
+
+class TestOneRanking:
+    """Every metric and every evaluate field is bit for bit the per-call-sort
+    oracle's, while evaluate sorts the scores once."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_call_sort_bit_for_bit(self, data):
+        n = data.draw(st.integers(2, 80), label="n")
+        labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                                    label="labels"))
+        labels[data.draw(st.integers(0, n - 1), label="positive")] = 1
+        value = st.one_of(st.integers(-3, 3).map(float),  # heavy ties
+                          st.floats(-1e3, 1e3, allow_subnormal=False))
+        scores = np.array(data.draw(st.lists(value, min_size=n, max_size=n), label="scores"))
+        buffer = data.draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.5, 3.0, 7.0]),
+                                     st.floats(0, 100), st.integers(1, 200)), label="buffer")
+        for got, want in (
+                (standard_f1(scores, labels), sorted_f1(scores, labels)),
+                (auc_pr(scores, labels), sorted_range_auc_pr(scores, labels, 0.0)),
+                (range_auc_pr(scores, labels), sorted_range_auc_pr(scores, labels)),
+                (range_auc_pr(scores, labels, buffer), sorted_range_auc_pr(scores, labels, buffer)),
+                (vus_pr(scores, labels), sorted_vus_pr(scores, labels)),
+                (vus_pr(scores, labels, buffer), sorted_vus_pr(scores, labels, buffer))):
+            assert bits(got) == bits(want), (got, want)
+        rep = evaluate(scores, labels)
+        for got, want in ((rep.f1, sorted_f1(scores, labels)),
+                          (rep.auc_pr, sorted_range_auc_pr(scores, labels, 0.0)),
+                          (rep.r_auc_pr, sorted_range_auc_pr(scores, labels)),
+                          (rep.vus_pr, sorted_vus_pr(scores, labels))):
+            assert bits(got) == bits(want), (got, want)
+
+    @pytest.mark.parametrize("buffer", [np.inf, np.nan, 1e300, 1e6])
+    def test_unbounded_buffers_weigh_the_whole_series(self, buffer):
+        labels = np.zeros(30, dtype=int)
+        labels[[3, 4, 20]] = 1
+        assert buffered_weights(labels, buffer).tobytes() == \
+            full_series_weights(labels, buffer).tobytes()
+
+    def test_evaluate_sorts_once(self, monkeypatch):
+        calls = []
+        argsort = np.argsort
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return argsort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counting)
+        labels = np.zeros(400, dtype=int)
+        labels[100:120] = 1
+        evaluate(np.random.default_rng(10).normal(size=400), labels)
+        assert len(calls) == 1
 
 
 class TestTopK:

@@ -204,15 +204,14 @@ class TestForward:
 # A float32 product whose rounding follows the batch (a one-row batch
 # through gemv) moves scores by 1e-8 to 1.4e-8.
 ROW_BOUND = 1e-14
-ROW_CONFIGS = [{}, {"masking": "hard"}, {"masking": "grating"}, {"fusion": "mean"},
-               {"fusion": "feat_add"}, {"fusion": "feat_gate"},
+ROW_CONFIGS = [{}, {"masking": "hard"}, {"masking": "random"}, {"masking": "grating"},
+               {"fusion": "mean"}, {"fusion": "feat_add"}, {"fusion": "feat_gate"},
                {"granularity": "step"}, {"granularity": "window"}]
 
 
 class TestInferenceRowIndependence:
     """A window's inference scores do not depend on the other windows of its
-    batch. Random masking is left out: it draws one mask for the whole
-    batch, so its rows depend on the batch by design."""
+    batch."""
 
     @pytest.mark.parametrize("overrides", ROW_CONFIGS,
                              ids=["-".join(o.values()) or "default" for o in ROW_CONFIGS])
@@ -265,9 +264,9 @@ class TestParamsAndPersistence:
         xb = batch(seed=10, B=3)
         before = m.forward(xb)
         p = tmp_path / "m.ckpt"
-        save_checkpoint(str(p), m.config_block(), m.tensors)
+        save_checkpoint(str(p), m.config.block(), m.tensors)
         cfg_block, tensors = load_checkpoint(str(p))
-        assert cfg_block == m.config_block()
+        assert cfg_block == m.config.block()
         m2 = small_model(seed=999)  # different init, then overwrite
         m2.load_tensors(tensors)
         after = m2.forward(xb)
@@ -342,7 +341,7 @@ class TestDenseAdjoint:
         (tmp_path / "config.json").write_text(json.dumps({
             "model": m.config.to_dict(), "train": {"seed": 21},
             "data": {"norm_mean": 0.0, "norm_std": 1.0}}))
-        save_checkpoint(str(tmp_path / "model.ckpt"), m.config_block(), m.tensors)
+        save_checkpoint(str(tmp_path / "model.ckpt"), m.config.block(), m.tensors)
         loaded, _, _ = cli.load_run(str(tmp_path))
         loaded.forward(batch(seed=22))
         assert builds == []

@@ -6,10 +6,11 @@ reject, or --split given for a UCR file, whose name holds its split),
 3 data error (also a file that cannot be read or written, non-finite input
 values, a CSV label other than 0 or 1, a test region or bench series
 shorter than the window, a config.json that is not valid JSON, lacks a
-field or holds a bad value, a model.ckpt that is truncated or does not
-match config.json, or a scores CSV for eval that is not UTF-8, has a wrong
-header, a row that is not three numbers, a NaN or inf score or not one row
-per test point, or eval data without labels), 4 numeric failure (also
+field or holds a bad value, a model.ckpt that fails its CRC32 check, is
+format version 1 (retrain) or does not match config.json, or a scores CSV
+for eval that is not UTF-8, has a wrong header, a row that is not three
+numbers, a NaN or inf score or not one row per test point, or eval data
+without labels), 4 numeric failure (also
 non-finite detect scores, in which case no scores CSV is written). The
 command group maps errors to these codes in one place (`_Coopad.invoke`).
 

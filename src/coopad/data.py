@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +41,6 @@ class NormalizationStats:
 @dataclass
 class PeriodEstimate:
     period: int
-    acf: np.ndarray = field(repr=False, default=None)
 
 
 _UCR_NAME = re.compile(r"_(\d+)_(\d+)_(\d+)\.(txt|csv|tsv|dat)$", re.IGNORECASE)
@@ -175,40 +174,34 @@ def zscore(values, stats):
     return (values - stats.mean) / stats.std
 
 
-def estimate_period(train_values, max_lag=None):
+def estimate_period(train_values):
     """Dominant period from the autocorrelation function of the train region.
 
     The ACF is computed on the mean-removed series, normalized by lag 0.
     The period is the lag in [2, max_lag] that is a local maximum with the
-    highest ACF value; if no local maximum exceeds 0.1, falls back to 64.
+    highest ACF value, where max_lag = max(3, min(1000, n // 3)); if no
+    local maximum exceeds 0.1, falls back to 64.
 
     Only lags 0 ... max_lag + 1 are computed, one dot product each, so the
     cost is O(n * max_lag) rather than the O(n^2) of a full correlation.
     Each lag is the BLAS dot ``np.correlate(xc, xc, "full")`` computes for
-    it, with the same bits. The one exception is lag 0 at n <= 11, which
-    numpy sums in its own loop; it can differ from 1.0 in the last bits
-    there, while here it is exactly 1.0.
+    it, with the same bits.
     """
     x = np.asarray(train_values, dtype=np.float64)
     n = len(x)
     if n < 8:
         raise DataError(f"train region too short for period estimation ({n} points)")
-    if max_lag is None:
-        max_lag = min(1000, n // 3)
-    max_lag = max(3, min(max_lag, n - 2))
+    max_lag = max(3, min(1000, n // 3))
     xc = x - x.mean()
     denom = float(xc @ xc)
     if denom < 1e-12:
-        return PeriodEstimate(period=64, acf=np.zeros(max_lag + 1))
+        return PeriodEstimate(period=64)
     acf = np.array([xc[k:] @ xc[:n - k] for k in range(max_lag + 2)]) / denom
-    best_lag, best_val = None, 0.1
+    best_lag, best_val = 64, 0.1
     for lag in range(2, max_lag + 1):
-        if acf[lag] > acf[lag - 1] and acf[lag] >= acf[lag + 1]:
-            if acf[lag] > best_val:
-                best_lag, best_val = lag, acf[lag]
-    if best_lag is None:
-        return PeriodEstimate(period=64, acf=acf[: max_lag + 1])
-    return PeriodEstimate(period=best_lag, acf=acf[: max_lag + 1])
+        if acf[lag - 1] < acf[lag] >= acf[lag + 1] and acf[lag] > best_val:
+            best_lag, best_val = lag, acf[lag]
+    return PeriodEstimate(period=best_lag)
 
 
 @dataclass

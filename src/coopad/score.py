@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError, make_windows, open_text, window_origins
+from .data import (_CHUNK_BYTES, DataError, make_windows, open_text,
+                   window_origins)
 
 BATCH = 256  # windows per forward pass in detect
 
@@ -113,22 +115,43 @@ def write_scores_csv(path, series):
             f.write("%d,%.10g,%.10g\n" % (i, s, sm))
 
 
-def read_scores_csv(path):
-    """Read back (scores, smoothed) as write_scores_csv wrote them. A file
-    that is not UTF-8, a wrong header, a row without three fields or a value
-    that is not a number raises DataError naming the file (and the 1-based
-    line)."""
-    scores, smoothed = [], []
-    with open_text(path, path) as f:
-        if not f.readline().startswith("index,"):
-            raise DataError(f"{path}: line 1: unexpected scores header")
-        for lineno, line in enumerate(f, start=2):
+def _score_rows(chunk, lineno, path):
+    """(scores, smoothed) float64 of `chunk`, the scores CSV text of whole
+    lines that follow line `lineno`, parsed in one pass; when that fails, a
+    per-line pass finds the first bad line and raises DataError naming it."""
+    text = chunk if chunk.endswith("\n") else chunk + "\n"
+    n = text.count("\n")
+    raw = np.frombuffer(text.encode(), dtype=np.uint8)
+    try:
+        if raw[(raw == ord(",")) | (raw == ord("\n"))].tobytes() != b",,\n" * n:
+            raise ValueError("a line without two commas")
+        fields = text.replace("\n", ",").split(",")
+        return (np.fromiter(map(float, fields[1::3]), np.float64, n),
+                np.fromiter(map(float, fields[2::3]), np.float64, n))
+    except ValueError:
+        for i, line in enumerate(io.StringIO(chunk), start=lineno + 1):
             parts = line.split(",")
             try:
                 if len(parts) != 3:
                     raise ValueError(f"{len(parts)} fields, expected 3")
-                scores.append(float(parts[1]))
-                smoothed.append(float(parts[2]))
+                float(parts[1]), float(parts[2])
             except ValueError as e:
-                raise DataError(f"{path}: line {lineno}: {e}") from None
-    return np.asarray(scores), np.asarray(smoothed)
+                raise DataError(f"{path}: line {i}: {e}") from None
+        raise
+
+
+def read_scores_csv(path):
+    """Read back (scores, smoothed) as write_scores_csv wrote them, in chunks
+    of whole lines of about _CHUNK_BYTES. A file that is not UTF-8, a wrong
+    header, a row without three fields or a value that is not a number
+    raises DataError naming the file (and the 1-based line)."""
+    scores, smoothed, lineno = [np.empty(0)], [np.empty(0)], 1
+    with open_text(path, path) as f:
+        if not f.readline().startswith("index,"):
+            raise DataError(f"{path}: line 1: unexpected scores header")
+        while chunk := f.read(_CHUNK_BYTES) + f.readline():
+            chunk_scores, chunk_smoothed = _score_rows(chunk, lineno, path)
+            scores.append(chunk_scores)
+            smoothed.append(chunk_smoothed)
+            lineno += chunk.count("\n")
+    return np.concatenate(scores), np.concatenate(smoothed)

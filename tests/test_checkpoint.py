@@ -1,4 +1,5 @@
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -57,15 +58,23 @@ def test_identical_bytes_for_identical_input(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def with_crc(body):
+    """`body` with the CRC32 trailer save_checkpoint would give it."""
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
 def test_header_layout(tmp_path):
     p = tmp_path / "m.ckpt"
     save_checkpoint(str(p), CFG, {"w": np.ones((1, 1))})
     data = p.read_bytes()
     assert data[:4] == MAGIC
-    assert struct.unpack_from("<I", data, 4)[0] == 1  # version
+    assert struct.unpack_from("<I", data, 4)[0] == 2  # version
     assert struct.unpack_from("<5I", data, 8) == (32, 8, 24, 4, 3)
     assert struct.unpack_from("<d", data, 28)[0] == 10.0
     assert struct.unpack_from("<I", data, 36)[0] == 1  # tensor count
+    # one record (4 + 1 + 8 + 8 bytes) after the 40-byte header, then the CRC
+    assert len(data) == 40 + 21 + 4
+    assert struct.unpack_from("<I", data, 61)[0] == zlib.crc32(data[:61])
 
 
 def test_bad_magic(tmp_path):
@@ -81,7 +90,18 @@ def test_bad_version(tmp_path):
     data = bytearray(p.read_bytes())
     data[4:8] = struct.pack("<I", 99)
     p.write_bytes(bytes(data))
-    with pytest.raises(CheckpointError):
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version 99"):
+        load_checkpoint(str(p))
+
+
+def test_version_1_is_rejected_by_name(tmp_path):
+    # a version 1 file is the version 2 records with version 1 and no CRC
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(str(p), CFG, {"w": np.ones((2, 2))})
+    data = bytearray(p.read_bytes()[:-4])
+    data[4:8] = struct.pack("<I", 1)
+    p.write_bytes(bytes(data))
+    with pytest.raises(CheckpointError, match="^unsupported checkpoint version 1$"):
         load_checkpoint(str(p))
 
 
@@ -90,40 +110,77 @@ def test_truncation_and_trailing(tmp_path):
     save_checkpoint(str(p), CFG, {"w": np.ones((2, 2))})
     data = p.read_bytes()
     p.write_bytes(data + b"\x00")
-    with pytest.raises(CheckpointError):
+    with pytest.raises(CheckpointError, match="checksum mismatch"):
+        load_checkpoint(str(p))
+    # trailing bytes that the CRC covers
+    p.write_bytes(with_crc(data[:-4] + b"\x00"))
+    with pytest.raises(CheckpointError, match="trailing bytes"):
         load_checkpoint(str(p))
 
 
 # one tensor "gru.l0.wx" (2, 2): a 40-byte header (magic, version, config
 # block, lambda, count), then its name length at 40, name at 44-52, shape at
-# 53-60 and values at 61-92
-@pytest.mark.parametrize("cut, field", [
-    (2, "bad magic"), (6, "format version"), (20, "config block"),
-    (30, "lambda"), (38, "tensor count"), (42, "tensor 0 name length"),
-    (48, "tensor 0 name"), (57, "tensor gru.l0.wx shape"),
-    (73, "tensor gru.l0.wx values"), (92, "tensor gru.l0.wx values"),
-])
+# 53-60, values at 61-92 and the CRC at 93-96. Each field is named by the
+# offset it ends at; a cut is labelled with the field it falls in.
+FIELD_ENDS = [(4, "bad magic"), (8, "format version"), (28, "config block"),
+              (36, "lambda"), (40, "tensor count"), (44, "tensor 0 name length"),
+              (53, "tensor 0 name"), (61, "tensor gru.l0.wx shape"),
+              (93, "tensor gru.l0.wx values"), (97, "crc32")]
+CUTS = [(cut, next(field for end, field in FIELD_ENDS if cut < end))
+        for cut in range(97)]
+
+
+def small_checkpoint(path):
+    save_checkpoint(str(path), CFG, {"gru.l0.wx": np.ones((2, 2))})
+    data = path.read_bytes()
+    assert len(data) == FIELD_ENDS[-1][0]
+    return data
+
+
+@pytest.mark.parametrize("cut, field", CUTS)
 def test_truncation_is_checkpoint_error(tmp_path, cut, field):
+    # every cut fails: inside the magic on the magic, anywhere else on the CRC
     p = tmp_path / "m.ckpt"
-    save_checkpoint(str(p), CFG, {"gru.l0.wx": np.ones((2, 2))})
-    data = p.read_bytes()
-    assert len(data) == 93
+    data = small_checkpoint(p)
     p.write_bytes(data[:cut])
-    with pytest.raises(CheckpointError, match=field) as err:
+    want = "bad magic" if cut < 4 else "checksum mismatch: the file is truncated or altered"
+    with pytest.raises(CheckpointError, match=want):
         load_checkpoint(str(p))
-    if cut > 4:
-        assert f"file ends at {cut}" in str(err.value)
-        assert "offset" in str(err.value)
+
+
+def test_every_flipped_byte_is_checkpoint_error(tmp_path):
+    # CRC32 catches every error burst of up to 32 bits, so each flip fails
+    p = tmp_path / "m.ckpt"
+    data = small_checkpoint(p)
+    for i in range(len(data)):
+        flipped = bytearray(data)
+        flipped[i] ^= 0xFF
+        p.write_bytes(bytes(flipped))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(str(p))
+
+
+@pytest.mark.parametrize("offset, value, message", [
+    (36, struct.pack("<I", 2), "unpack_from requires a buffer"),
+    (53, struct.pack("<I", 3), "buffer is smaller than requested size"),
+], ids=["count_past_the_end", "rows_past_the_end"])
+def test_crafted_record_is_checkpoint_error(tmp_path, offset, value, message):
+    # a record edited and its CRC recomputed parses to an error, not a traceback
+    p = tmp_path / "m.ckpt"
+    body = bytearray(small_checkpoint(p)[:-4])
+    body[offset:offset + len(value)] = value
+    p.write_bytes(with_crc(bytes(body)))
+    with pytest.raises(CheckpointError, match=f"malformed checkpoint record: {message}"):
+        load_checkpoint(str(p))
 
 
 def test_non_utf8_name_is_checkpoint_error(tmp_path):
     p = tmp_path / "m.ckpt"
-    save_checkpoint(str(p), CFG, {"gru.l0.wx": np.ones((2, 2))})
-    data = bytearray(p.read_bytes())
-    data[46] = 0xFF  # the third byte of the name, which starts at 44
-    p.write_bytes(bytes(data))
-    with pytest.raises(CheckpointError,
-                       match="tensor 0 name at byte offset 44 is not UTF-8"):
+    body = bytearray(small_checkpoint(p)[:-4])
+    body[46] = 0xFF  # the third byte of the name, which starts at 44
+    p.write_bytes(with_crc(bytes(body)))
+    with pytest.raises(CheckpointError, match="malformed checkpoint record: 'utf-8' "
+                       "codec can't decode byte 0xff in position 2"):
         load_checkpoint(str(p))
 
 

@@ -1,6 +1,8 @@
 import errno
 import json
 import shutil
+import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -328,20 +330,21 @@ class TestRunDirChecks:
         out = tmp_path / "s.csv"
         r = detect(run, dataset["path"], out)
         assert r.exit_code == 3
-        assert "truncated checkpoint" in r.output
+        assert "checksum mismatch: the file is truncated or altered" in r.output
         assert "Traceback" not in r.output
         assert not out.exists()
 
     def test_non_utf8_tensor_name(self, dataset, run_dir, tmp_path):
         run = copy_run(run_dir, tmp_path)
         ckpt = run / "model.ckpt"
-        data = bytearray(ckpt.read_bytes())
-        data[44] = 0xFF  # first byte of the first tensor's name
-        ckpt.write_bytes(bytes(data))
+        body = bytearray(ckpt.read_bytes()[:-4])
+        body[44] = 0xFF  # first byte of the first tensor's name
+        ckpt.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
         out = tmp_path / "s.csv"
         r = detect(run, dataset["path"], out)
         assert r.exit_code == 3
-        assert "tensor 0 name at byte offset 44 is not UTF-8" in r.output
+        assert ("malformed checkpoint record: 'utf-8' codec can't decode byte 0xff "
+                "in position 0") in r.output
         assert "Traceback" not in r.output
         assert not out.exists()
 

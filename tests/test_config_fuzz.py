@@ -1,10 +1,11 @@
-"""`coopad detect` on a run directory whose config.json was edited.
+"""`coopad detect` on a run directory whose config.json or model.ckpt was
+edited.
 
-Every edit either scores (exit 0) or fails with the documented exit code
-(3 data, 4 numeric) and an ``error:`` line, never a traceback, and a failed
-detect writes no scores CSV. The named cases are edits that once exited 1
-with a traceback or scored silently; the property mutates one field at a
-time of a real one-epoch run.
+Every config.json edit either scores (exit 0) or fails with the documented
+exit code (3 data, 4 numeric) and an ``error:`` line, never a traceback, and
+a failed detect writes no scores CSV. The named cases are edits that once
+exited 1 with a traceback or scored silently; the property mutates one field
+at a time of a real one-epoch run. Every flipped or cut model.ckpt exits 3.
 """
 
 import json
@@ -47,16 +48,19 @@ def run(tmp_path_factory):
             "config": json.loads((run_dir / "config.json").read_text())}
 
 
-def detect_with(run, edit):
+def detect_with(run, edit, ckpt=None):
     """Detect with a copy of the run whose config.json is edit(config), a
-    dict edited in place; returns (click result, whether a scores CSV was
-    written)."""
+    dict edited in place, and whose model.ckpt holds the bytes `ckpt` if
+    given; returns (click result, whether a scores CSV was written)."""
     cfg = json.loads(json.dumps(run["config"]))
     edit(cfg)
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "run"
         copy.mkdir()
-        shutil.copy(run["dir"] / "model.ckpt", copy)
+        if ckpt is None:
+            shutil.copy(run["dir"] / "model.ckpt", copy)
+        else:
+            (copy / "model.ckpt").write_bytes(ckpt)
         (copy / "config.json").write_text(json.dumps(cfg))
         out = Path(tmp) / "scores.csv"
         r = CliRunner().invoke(main, ["detect", "--run", str(copy),
@@ -162,3 +166,27 @@ def test_mutated_field_exits_0_3_or_4(run, mutation):
     if r.exit_code:
         assert re.search(r"^error: ", r.output, re.M), r.output
         assert not wrote
+
+
+@st.composite
+def damaged_checkpoints(draw, data):
+    """`data` with 1-4 bytes flipped, or cut short."""
+    if draw(st.booleans()):
+        return data[:draw(st.integers(0, len(data) - 1))]
+    flips = draw(st.lists(st.tuples(st.integers(0, len(data) - 1), st.integers(1, 255)),
+                          min_size=1, max_size=4, unique_by=lambda flip: flip[0]))
+    damaged = bytearray(data)
+    for at, mask in flips:
+        damaged[at] ^= mask
+    return bytes(damaged)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_damaged_checkpoint_exits_3(run, data):
+    ckpt = data.draw(damaged_checkpoints((run["dir"] / "model.ckpt").read_bytes()))
+    r, wrote = detect_with(run, lambda cfg: None, ckpt)
+    assert r.exit_code == 3, (r.output, r.exception)
+    assert re.search(r"^error: .*model\.ckpt: ", r.output, re.M), r.output
+    assert "Traceback" not in r.output
+    assert not wrote

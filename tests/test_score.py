@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopad.data import DataError, make_windows, window_origins
+from coopad.data import _CHUNK_BYTES, DataError, make_windows, window_origins
 from coopad.model import CoopConfig, CoopModel
 from coopad.score import (BATCH, detect, pointwise_scores, read_scores_csv,
                           smooth, stitch, write_scores_csv)
@@ -221,7 +221,66 @@ class TestDetect:
                            atol=1e-12)
 
 
+def oracle_read_scores_csv(path):
+    """The line-by-line loop read_scores_csv ran before it parsed chunks."""
+    scores, smoothed = [], []
+    with open(path, encoding="utf-8") as f:
+        f.readline()
+        for lineno, line in enumerate(f, start=2):
+            parts = line.split(",")
+            try:
+                if len(parts) != 3:
+                    raise ValueError(f"{len(parts)} fields, expected 3")
+                scores.append(float(parts[1]))
+                smoothed.append(float(parts[2]))
+            except ValueError as e:
+                raise DataError(f"{path}: line {lineno}: {e}") from None
+    return np.asarray(scores), np.asarray(smoothed)
+
+
+def big_scores_text(rows):
+    """A scores CSV of `rows` rows that spans several chunks, with CRLF line
+    ends in its first half, values spelled several ways and no final newline."""
+    rng = np.random.default_rng(4)
+    values = rng.normal(0, 10, size=rows) * 10.0 ** rng.integers(-20, 20, size=rows)
+    spell = [repr, lambda v: f" {v:.3e}", lambda v: f"{v:.10g}\t", str]
+    lines = [f"{i},{spell[i % 4](v)},{spell[(i + 1) % 4](-v)}"
+             for i, v in enumerate(values.tolist())]
+    lines[7] = "x,inf,-0.0"  # eval never read the index column
+    text = "\n".join(lines)
+    return "index,score,smoothed\r\n" + text[: len(text) // 2].replace("\n", "\r\n") \
+        + text[len(text) // 2:]
+
+
 class TestScoresCsv:
+    def test_chunks_parse_like_the_line_loop(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_bytes(big_scores_text(60_000).encode())
+        assert p.stat().st_size > 3 * _CHUNK_BYTES
+        want = oracle_read_scores_csv(str(p))
+        got = read_scores_csv(str(p))
+        assert len(got[0]) == 60_000
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    # two then four fields hold as many fields as two good rows
+    @pytest.mark.parametrize("row", ["1,2", "1,2,3,4", "1,2\n3,4,5,6", "", "1,0.5,1e",
+                                     "1,abc,0.5"],
+                             ids=["two_fields", "four_fields", "two_then_four_fields",
+                                  "blank", "bad_smoothed", "bad_score"])
+    def test_bad_row_in_third_chunk_names_its_line(self, tmp_path, row):
+        p = tmp_path / "s.csv"
+        text = big_scores_text(60_000)
+        # a line ~2.4 chunks in: past chunk 2, which ends within a line of
+        # 2 * _CHUNK_BYTES characters (CRLF reads as one)
+        at = text.index("\n", 5 * _CHUNK_BYTES // 2) + 1
+        p.write_text(text[:at] + row + "\n" + text[at:], newline="")
+        with pytest.raises(DataError) as want:
+            oracle_read_scores_csv(str(p))
+        with pytest.raises(DataError) as got:
+            read_scores_csv(str(p))
+        assert str(got.value) == str(want.value)
+        assert "line " in str(got.value)
+
     def test_round_trip(self, tmp_path):
         m = small_model()
         x = np.random.default_rng(12).normal(size=50)

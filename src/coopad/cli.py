@@ -1,18 +1,19 @@
 """Command-line front end: train, detect, eval, inject, bench.
 
 Exit codes: 0 success, 2 usage error (also a train, inject or bench
-number out of range, a --freq-bins or --lam the model settings below
-reject, or --split given for a UCR file, whose name holds its split),
+number out of range, a NaN or infinite --lr or a NaN --distortion-prob,
+which `TrainConfig` rejects, a --freq-bins or --lam the model settings
+below reject, or --split given for a UCR file, whose name holds its split),
 3 data error (also a file that cannot be read or written, non-finite input
 values, a CSV label other than 0 or 1, a test region or bench series
 shorter than the window, a config.json that is not valid JSON, lacks a
-field or holds a bad value, a model.ckpt that fails its CRC32 check, is
-format version 1 (retrain) or does not match config.json, or a scores CSV
-for eval that is not UTF-8, has a wrong header, a row that is not three
-numbers, a NaN or inf score or not one row per test point, or eval data
-without labels), 4 numeric failure (also
-non-finite detect scores, in which case no scores CSV is written). The
-command group maps errors to these codes in one place (`_Coopad.invoke`).
+field, holds a bad value or a model key that is not a setting, a
+model.ckpt that fails its CRC32 check, is format version 1 (retrain) or
+does not match config.json, or a scores CSV for eval that is not UTF-8,
+has a wrong header, a row that is not three numbers, a NaN or inf score or
+not one row per test point, or eval data without labels), 4 numeric
+failure (also non-finite detect scores, in which case no scores CSV is
+written). The command group maps errors to these codes in one place (`_Coopad.invoke`).
 
 The model settings are valid when T, P, H, K, layers and frame_len are
 integers >= 1, smooth_window is an integer >= 0, T is a multiple of P,
@@ -27,8 +28,10 @@ enough to reproduce outputs bit-for-bit.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import errno
+import glob
 import json
 import os
 import resource
@@ -111,6 +114,12 @@ def cmd_train(data_path, out_dir, seed, epochs, lr, batch, lam, hidden, layers,
               patch, freq_bins, masking, granularity, fusion,
               exclude_kinds, distortion_prob, split):
     """Fit a model; writes model.ckpt, config.json, train.csv."""
+    try:
+        tcfg = TrainConfig(lr=lr, epochs=epochs, batch=batch, seed=seed,
+                           distortion_prob=distortion_prob,
+                           exclude_kinds=tuple(exclude_kinds))
+    except ValueError as e:  # the flags' ranges leave a NaN or inf lr, a NaN probability
+        raise click.BadParameter(str(e), param_hint=["--lr", "--distortion-prob"]) from None
     series = _load_series(data_path, split)
     stats = train_stats(series)
     norm = zscore(series.values, stats)
@@ -123,9 +132,6 @@ def cmd_train(data_path, out_dir, seed, epochs, lr, batch, lam, hidden, layers,
         raise click.BadParameter(f"{e} (period {period})",
                                  param_hint=["--freq-bins", "--lam"]) from None
     model = CoopModel(config, seed=seed)
-    tcfg = TrainConfig(lr=lr, epochs=epochs, batch=batch, seed=seed,
-                       distortion_prob=distortion_prob,
-                       exclude_kinds=tuple(exclude_kinds))
     active = [k for k in augment.KINDS if k not in exclude_kinds]
     click.echo(f"dataset={series.name} period={period} T={config.T} "
                f"N={config.N} params={model.num_params()} "
@@ -311,7 +317,9 @@ def cmd_inject(data_path, out_dir, test_kind, seed, split):
 @click.option("--points", default=1_000_000, type=click.IntRange(min=1), show_default=True)
 @click.option("--period", default=50, type=click.IntRange(min=1), show_default=True)
 @click.option("--seed", default=0, type=click.IntRange(min=0), show_default=True)
-def cmd_bench(points, period, seed):
+@click.option("--json", "json_path", default=None, type=click.Path(dir_okay=False),
+              help="Also write the measurement and the machine it ran on as JSON")
+def cmd_bench(points, period, seed, json_path):
     """Measure detect throughput and peak memory on a generated series at
     default config."""
     values, _ = synth.gen_periodic(points, period, noise_std=0.05,
@@ -328,6 +336,29 @@ def cmd_bench(points, period, seed):
     click.echo(f"points={points} T={config.T} params={n_params}")
     click.echo(f"elapsed={elapsed:.3f}s throughput={throughput:,.0f} points/s "
                f"peak_rss_mb={peak_rss_mb:.1f}")
+    if json_path is not None:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        row = {"points": points, "period": period, "T": config.T, "params": n_params,
+               "elapsed_s": elapsed, "points_per_s": throughput,
+               "peak_rss_mb": peak_rss_mb, "nproc": os.cpu_count(),
+               "numpy": np.__version__, "blas": blas.get("name"),
+               "blas_version": blas.get("version"), "blas_threads": _openblas_threads()}
+        with open(json_path, "w") as f:
+            json.dump(row, f, indent=2)
+            f.write("\n")
+
+
+def _openblas_threads():
+    """Thread count of the OpenBLAS bundled with NumPy's wheel, or None
+    when NumPy uses another BLAS that does not report it this way."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(lib, name):
+                return int(getattr(lib, name)())
+    return None
 
 
 if __name__ == "__main__":

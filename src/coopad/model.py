@@ -14,14 +14,18 @@ A forward with keep_cache=True is a training pass and runs in float64. An
 inference pass runs the five GRU recurrences in float32 (`GruStack.forward`)
 and everything around them in float64; its scores differ from a float64
 pass by about 1e-8 on an untrained model and by up to 1.7e-7 after the
-100-epoch acceptance fit. The analysis window is
-always boxcar. Ablation behavior is selected by four config flags: masking
-strategy, classification granularity, branch fusion and scoring; the
-default configuration is soft masking, patch granularity, max fusion,
-joint scoring. Hard masking thresholds at the mean plus three standard
-deviations of the fused probabilities of the last training batch; an
-inference forward of a hard-masking model that was never trained raises,
-as there is no calibrated threshold. `CoopConfig` is the one place that decides whether
+100-epoch acceptance fit. An inference pass keeps each tensor only until
+its last read: the STFT features die once projected to the frequency GRU's
+input, and the reconstruction's blend, GRU states and per-patch output
+before the residual encode, so at T = 2000 it peaks at ~6.6 (N, B, H)
+float64 tensors (tracemalloc). The analysis window is always boxcar.
+Ablation behavior is selected by four config flags: masking strategy,
+classification granularity, branch fusion and scoring; the default
+configuration is soft masking, patch granularity, max fusion, joint
+scoring. Hard masking thresholds at the mean plus three standard deviations
+of the fused probabilities of the last training batch; an inference forward
+of a hard-masking model that was never trained raises, as there is no
+calibrated threshold. `CoopConfig` is the one place that decides whether
 the settings are valid; nothing downstream checks them again.
 
 The frequency branch reads per-patch STFT features framed straight from
@@ -107,8 +111,10 @@ class CoopConfig:
     def from_dict(cls, d):
         if not isinstance(d, dict):
             raise TypeError(f"model settings must be an object, not {type(d).__name__}")
-        known = {k: v for k, v in d.items() if k in cls.__dataclass_fields__}
-        return cls(**known)
+        unknown = [k for k in d if k not in cls.__dataclass_fields__]
+        if unknown:
+            raise ValueError(f"{unknown[0]} is not a model setting")
+        return cls(**d)
 
     @classmethod
     def for_period(cls, period, **overrides):
@@ -228,9 +234,7 @@ class CoopModel:
         Otherwise the GRU recurrences run in float32.
         """
         c = self.config
-        t = self.tensors
         xb = np.atleast_2d(np.asarray(xb, dtype=np.float64))
-        B = xb.shape[0]
         if xb.shape[1] != c.T:
             raise ValueError(f"window length {xb.shape[1]} != T={c.T}")
         ht_tilde, hf_tilde, enc = self._encode(xb, keep_cache)
@@ -242,13 +246,7 @@ class CoopModel:
         coeff, grad_through_mask = mask_coefficients(a_fused, c, rng=rng,
                                                      threshold=self.hard_threshold)
 
-        z = enc["patches"] @ t["w_mask_proj"].T                     # (N,B,H)
-        em_cols = t["e_mask"].T[:, None, :]                         # (N,1,H)
-        e_m = coeff[..., None] * em_cols + (1.0 - coeff)[..., None] * z
-
-        r_out, cache_r = self.gru_recon.forward(e_m, keep_cache=keep_cache)
-        xr_p = r_out @ t["w_out"].T                                 # (N,B,P)
-        x_r = xr_p.transpose(1, 0, 2).reshape(B, c.T)
+        x_r, recon_cache = self._reconstruct(enc["patches"], coeff, keep_cache)
 
         # residual pass: encode the reconstruction with the same encoders,
         # classify the differences with one shared patch head, max-fused
@@ -262,10 +260,9 @@ class CoopModel:
         cache = None
         if keep_cache:
             cache = {
-                "enc": enc, "enc_r": enc_r, "cache_r": cache_r,
-                "h_t": h_t, "h_f": h_f, "r_out": r_out,
+                "enc": enc, "enc_r": enc_r, "h_t": h_t, "h_f": h_f,
                 "cls": cls_cache, "resid": resid_cache, "coeff": coeff,
-                "grad_through_mask": grad_through_mask, "z": z,
+                "grad_through_mask": grad_through_mask, **recon_cache,
             }
         return ForwardResult(probs=probs, x_r=x_r, cache=cache)
 
@@ -274,21 +271,46 @@ class CoopModel:
 
         Returns (h_t, h_f, cache): top-layer GRU states (N, B, H) of each
         branch, and what _encode_backward needs. The frequency features come
-        from the patch windows through the STFT patch kernel; when
-        keep_cache is false the cache holds neither them nor GRU caches.
+        from the patch windows through the STFT patch kernel and are
+        projected to the GRU input before either GRU runs; when keep_cache
+        is false the cache holds neither them nor GRU caches, so they die
+        before the recurrences start.
         """
         c = self.config
         t = self.tensors
         patches = x.reshape(x.shape[0], c.N, c.P).transpose(1, 0, 2)  # (N,B,P)
         fpat = spectral.stft_apply(self.stft_kernel, x, c.P)          # (N,B,2KP)
-        h_t, gru_t = self.gru_time.forward(patches @ t["w_time_patch"].T,
-                                           keep_cache=keep_cache)
-        h_f, gru_f = self.gru_freq.forward(fpat @ t["w_freq_patch"].T,
-                                           keep_cache=keep_cache)
-        cache = {"patches": patches, "gru_t": gru_t, "gru_f": gru_f}
+        u_f = fpat @ t["w_freq_patch"].T
+        cache = {"patches": patches}
         if keep_cache:
             cache["fpat"] = fpat
+        del fpat
+        h_t, cache["gru_t"] = self.gru_time.forward(patches @ t["w_time_patch"].T,
+                                                    keep_cache=keep_cache)
+        h_f, cache["gru_f"] = self.gru_freq.forward(u_f, keep_cache=keep_cache)
         return h_t, h_f, cache
+
+    def _reconstruct(self, patches, coeff, keep_cache):
+        """Reconstruction (B, T) of the windows whose patches are `patches`
+        (N, B, P): each patch's projection is blended with its learned mask
+        embedding by the mask weights coeff (N, B), then run through the
+        reconstruction GRU and the output projection.
+
+        Returns (x_r, cache): the cache entries backward needs, or an empty
+        dict when keep_cache is false; the blend, the GRU states and the
+        per-patch output then die on return.
+        """
+        c = self.config
+        t = self.tensors
+        z = patches @ t["w_mask_proj"].T                            # (N,B,H)
+        em_cols = t["e_mask"].T[:, None, :]                         # (N,1,H)
+        e_m = coeff[..., None] * em_cols + (1.0 - coeff)[..., None] * z
+        r_out, cache_r = self.gru_recon.forward(e_m, keep_cache=keep_cache)
+        xr_p = r_out @ t["w_out"].T                                 # (N,B,P)
+        x_r = xr_p.transpose(1, 0, 2).reshape(patches.shape[1], c.T)
+        if not keep_cache:
+            return x_r, {}
+        return x_r, {"z": z, "r_out": r_out, "cache_r": cache_r}
 
     def _classify(self, ht_tilde, hf_tilde):
         """Branch heads + fusion. Returns (A_t, A_f, A, cache)."""

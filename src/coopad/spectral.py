@@ -1,14 +1,16 @@
 """Short-time Fourier features: hop 1, centered, reflect padded, boxcar.
 
-The forward path is framed: `stft_apply` reflect pads each window, cuts it
-into one overlapping window per patch and applies the block-Toeplitz kernel
-of `stft_patch_kernel`, giving the per-patch features the model's frequency
-encoder reads. A window costs O(T * (P + frame_len) * 2K) multiply-adds
-this way, against O(2K * T^2) through a dense operator. `stft_matrix` builds
-the spectrogram as an explicit (2K*T, T) operator, row (k, t) holding the
-DFT weights of bin k for the frame centered at t; the model's backward
-pass uses its transpose product as the adjoint, and builds it on its first
-backward, so inference never holds it.
+The forward path is framed: `stft_apply` reflect pads each window, views
+it as one overlapping window per patch (a strided view, never copied) and
+applies the block-Toeplitz kernel of `stft_patch_kernel`, giving the
+per-patch features the model's frequency encoder reads. A window costs
+O(T * (P + frame_len) * 2K) multiply-adds this way, against O(2K * T^2)
+through a dense operator, and the call allocates only the padded windows
+and its output. `stft_matrix` builds the spectrogram as an explicit
+(2K*T, T) operator, row (k, t) holding the DFT weights of bin k for the
+frame centered at t; the model's backward pass uses its transpose product
+as the adjoint, and builds it on its first backward, so inference never
+holds it.
 
 The functions take their shapes as `CoopConfig` validated them (frame_len
 even and at most T, K at most frame_len/2 + 1, T a multiple of P) and do
@@ -79,17 +81,21 @@ def stft_apply(kernel, x, P):
 
     Feature p*2K + k of patch n is bin k of the frame centered at n*P + p,
     the spectrogram stft_matrix gives, cut into patches. x is reflect padded
-    by frame_len/2 on each side and cut into N patch windows of
-    P + frame_len - 1 samples at stride P; one (N*B, P + frame_len - 1)
-    matmul applies the kernel.
+    by frame_len/2 on each side; a strided view cuts it into N patch
+    windows of P + frame_len - 1 samples at stride P, without copying, and
+    one stacked matmul applies the kernel to each patch's (B, P + frame_len
+    - 1) rows. So besides its output it allocates only the padded windows.
     """
     x = np.asarray(x, dtype=np.float64)
     B, T = x.shape
+    if B == 1:
+        # BLAS takes a one-row product through gemv, which rounds
+        # differently from the gemm every wider batch gets
+        x = np.repeat(x, 2, axis=0)
     width = kernel.shape[0]
     frame_len = width - P + 1
     n = T // P
     xpad = np.pad(x, ((0, 0), (frame_len // 2, frame_len // 2)), mode="reflect")
     frames = np.lib.stride_tricks.sliding_window_view(xpad, width, axis=1)[:, :n * P:P]
-    # one copy, patch-major, so the product is already (N, B, P*2K) contiguous
-    frames = np.ascontiguousarray(frames.transpose(1, 0, 2)).reshape(n * B, width)
-    return (frames @ kernel).reshape(n, B, -1)
+    out = np.matmul(frames.transpose(1, 0, 2), kernel)    # (N, B, P*2K)
+    return np.ascontiguousarray(out[:, :B])

@@ -9,6 +9,8 @@ the reconstruction learns the clean batch.
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -36,8 +38,23 @@ class TrainConfig:
     exclude_kinds: tuple = ()
 
     def __post_init__(self):
-        if self.lr <= 0 or self.epochs < 0 or self.batch < 1:
-            raise ValueError("lr > 0, epochs >= 0, batch >= 1 required")
+        if not _is_real(self.lr) or not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be a finite number > 0, not {self.lr!r}")
+        for name, least in (("epochs", 0), ("batch", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) \
+                    or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, not {value!r}")
+        if not _is_real(self.distortion_prob) or not 0 <= self.distortion_prob <= 1:
+            raise ValueError(f"distortion_prob must be a number in [0, 1], "
+                             f"not {self.distortion_prob!r}")
+        unknown = [k for k in self.exclude_kinds if k not in KINDS]
+        if unknown:
+            raise ValueError(f"exclude_kinds holds {unknown[0]!r}, not one of {KINDS}")
+
+
+def _is_real(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass

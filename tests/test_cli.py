@@ -72,7 +72,8 @@ class TestTrain:
         ("--hidden", "0"), ("--layers", "0"), ("--patch", "0"),
         ("--freq-bins", "0"), ("--freq-bins", "99"), ("--lam", "-1"),
         ("--batch", "0"), ("--lr", "0"), ("--epochs", "-1"),
-        ("--distortion-prob", "2"), ("--seed", "-1")])
+        ("--distortion-prob", "2"), ("--seed", "-1"), ("--lr", "nan"), ("--lr", "inf"),
+        ("--lam", "inf"), ("--distortion-prob", "nan")])
     def test_bad_hyperparameter_usage_error(self, dataset, tmp_path, flag, value):
         out = tmp_path / "run"
         r = CliRunner().invoke(main, train_args(dataset, str(out), [flag, value]))
@@ -287,18 +288,6 @@ class TestRunDirChecks:
         assert "non-finite scores" in r.output
         assert not out.exists()
 
-    def test_parent_format_config_scores_the_same(self, dataset, run_dir, tmp_path):
-        # config.json written before the window_kind and
-        # share_residual_encoders fields were dropped still loads
-        run = copy_run(run_dir, tmp_path)
-        cfg = json.loads((run / "config.json").read_text())
-        cfg["model"].update(window_kind="boxcar", share_residual_encoders=True)
-        (run / "config.json").write_text(json.dumps(cfg, indent=2, sort_keys=True))
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert detect(run_dir, dataset["path"], a).exit_code == 0
-        assert detect(run, dataset["path"], b).exit_code == 0
-        assert a.read_bytes() == b.read_bytes()
-
     @pytest.mark.parametrize("edit, message", [
         (lambda text: text.replace('"model":', '"model"', 1),
          "Expecting ':' delimiter"),
@@ -310,8 +299,10 @@ class TestRunDirChecks:
          "model settings must be an object, not list"),
         (lambda text: edit_json(text, lambda c: c["data"].update(split=1.5)),
          "split must be an integer, not 1.5"),
+        (lambda text: edit_json(text, lambda c: c["model"].update(lamm=99)),
+         "lamm is not a model setting"),
     ], ids=["invalid_json", "missing_norm_std", "unknown_masking", "model_not_object",
-            "split_not_integer"])
+            "split_not_integer", "unknown_model_key"])
     def test_malformed_config(self, dataset, run_dir, tmp_path, edit, message):
         run = copy_run(run_dir, tmp_path)
         cfg = run / "config.json"
@@ -447,6 +438,25 @@ class TestBench:
         assert "points/s" in r.output
         peak = r.output.split("peak_rss_mb=")[1].split()[0]
         assert float(peak) > 0
+
+    def test_json_row(self, tmp_path):
+        out = tmp_path / "bench.json"
+        r = run_cli(["bench", "--points", "2000", "--period", "20", "--json", str(out)])
+        assert r.exit_code == 0, r.output
+        row = json.loads(out.read_text())
+        assert (row["points"], row["period"], row["T"]) == (2000, 20, 80)
+        assert f"params={row['params']}" in r.output
+        assert f"throughput={row['points_per_s']:,.0f} points/s" in r.output
+        assert f"peak_rss_mb={row['peak_rss_mb']:.1f}" in r.output
+        assert row["nproc"] >= 1 and row["numpy"] == np.__version__
+        assert isinstance(row["blas"], str) and isinstance(row["blas_version"], str)
+        assert row["blas_threads"] is None or row["blas_threads"] >= 1
+
+    def test_json_in_missing_directory_is_a_data_error(self, tmp_path):
+        r = CliRunner().invoke(main, ["bench", "--points", "2000", "--period", "20",
+                                      "--json", str(tmp_path / "no" / "b.json")])
+        assert r.exit_code == 3, r.output
+        assert "Traceback" not in r.output
 
     @pytest.mark.parametrize("flag, value", [
         ("--points", "0"), ("--period", "0"), ("--seed", "-1")])

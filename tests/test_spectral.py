@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,19 @@ def dense_patch_features(x, P, frame_len, K):
     B, T = x.shape
     spec = (x @ stft_matrix(T, frame_len, K).T).reshape(B, 2 * K, T // P, P)
     return spec.transpose(2, 0, 3, 1).reshape(T // P, B, P * 2 * K)
+
+
+def copied_frames_stft_apply(kernel, x, P):
+    """Reference for stft_apply's bytes: the patch windows copied
+    patch-major, then one (N*B, P + frame_len - 1) matmul with the kernel."""
+    B, T = x.shape
+    width = kernel.shape[0]
+    frame_len = width - P + 1
+    n = T // P
+    xpad = np.pad(x, ((0, 0), (frame_len // 2, frame_len // 2)), mode="reflect")
+    frames = np.lib.stride_tricks.sliding_window_view(xpad, width, axis=1)[:, :n * P:P]
+    frames = np.ascontiguousarray(frames.transpose(1, 0, 2)).reshape(n * B, width)
+    return (frames @ kernel).reshape(n, B, -1)
 
 
 def naive_frame_dft(x, center, frame_len, K, window, T):
@@ -223,6 +238,32 @@ class TestFramedFeatures:
                      .normal(size=(B, T))
         got = stft_apply(stft_patch_kernel(P, frame_len, K), x, P)
         assert np.max(np.abs(got - dense_patch_features(x, P, frame_len, K))) <= 1e-12
+
+    # the windows of periods 38, 50 and 500 at the default patch, at batch
+    # sizes that put one, a few and many rows into each per-patch product
+    @pytest.mark.parametrize("T, frame_len", [(152, 38), (200, 50), (2000, 64)])
+    @pytest.mark.parametrize("B", [1, 2, 3, 141, 256])
+    def test_bytes_match_copied_frames(self, T, frame_len, B):
+        kernel = stft_patch_kernel(8, frame_len, 4)
+        x = np.random.default_rng(T + B).normal(size=(B, T))
+        got = stft_apply(kernel, x, 8)
+        want = copied_frames_stft_apply(kernel, x, 8)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert np.array_equal(got, want)
+
+    def test_allocates_only_padded_windows_and_output(self):
+        P, frame_len, K, B, T = 8, 64, 4, 64, 2000
+        kernel = stft_patch_kernel(P, frame_len, K)
+        x = np.random.default_rng(5).normal(size=(B, T))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = stft_apply(kernel, x, P)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        padded = B * (T + frame_len) * 8
+        assert peak <= out.nbytes + padded + 64 * 1024
 
     def test_kernel_layout(self):
         # column p*2K + k is bin k's weights shifted down by p rows

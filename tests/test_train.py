@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -55,10 +57,21 @@ class TestClipGrads:
 
 class TestTrainConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            TrainConfig(lr=0.0)
-        with pytest.raises(ValueError):
-            TrainConfig(batch=0)
+        # each bad value raises a ValueError whose message starts with its field
+        for field, value in [
+                ("lr", 0.0), ("lr", -1e-3), ("lr", math.nan), ("lr", math.inf),
+                ("lr", "0.1"), ("lr", True), ("epochs", -1), ("epochs", 1.5),
+                ("epochs", True), ("batch", 0), ("batch", 2.0),
+                ("distortion_prob", math.nan), ("distortion_prob", -0.1),
+                ("distortion_prob", 1.5), ("distortion_prob", math.inf),
+                ("exclude_kinds", ("bogus",)), ("exclude_kinds", "jittering")]:
+            with pytest.raises(ValueError, match=f"^{field} "):
+                TrainConfig(**{field: value})
+
+    def test_edges_are_valid(self):
+        TrainConfig(lr=np.float64(1e-300), epochs=np.int64(0), batch=1,
+                    distortion_prob=0, exclude_kinds=augment.KINDS)
+        TrainConfig(distortion_prob=1.0, exclude_kinds=())
 
 
 class TestLossAndGrads:

@@ -13,7 +13,9 @@ does not match config.json, or a scores CSV for eval that is not UTF-8,
 has a wrong header, a row that is not three numbers, a NaN or inf score or
 not one row per test point, or eval data without labels), 4 numeric
 failure (also non-finite detect scores, in which case no scores CSV is
-written). The command group maps errors to these codes in one place (`_Coopad.invoke`).
+written, and a detect whose arithmetic overflows, as float32 does past
+~3.4e38). The command group maps errors to these codes in one place
+(`_Coopad.invoke`).
 
 The model settings are valid when T, P, H, K, layers and frame_len are
 integers >= 1, smooth_window is an integer >= 0, T is a multiple of P,
@@ -229,7 +231,12 @@ def cmd_detect(run_dir, data_path, out_path, scoring, split):
         split = train_split
     series = _load_series(data_path, split)
     test = zscore(series.values, stats)[series.split:]
-    result = score.detect(test, model, scoring=scoring)
+    try:
+        result = score.detect(test, model, scoring=scoring)
+    except FloatingPointError as e:
+        raise NumericError(f"detect: {e}: the test values, normalised by config.json's "
+                           f"norm_mean and norm_std, are beyond the model's float "
+                           f"range; no scores written") from None
     bad = np.flatnonzero(~np.isfinite(result.scores) | ~np.isfinite(result.smoothed))
     if bad.size:
         raise NumericError(f"{bad.size} non-finite scores (first at test index "
@@ -313,15 +320,50 @@ def cmd_inject(data_path, out_dir, test_kind, seed, split):
     click.echo(f"wrote {path} and {label_path}")
 
 
+BENCH_STEP_BATCHES = (16, 128)  # batch sizes of the timed training steps
+BENCH_STEP_PERIOD = 50  # T = 200, the acceptance fixture's window
+BENCH_WARMUP, BENCH_STEPS = 20, 50  # training steps run, then timed
+
+
+def _train_step_rows(seed):
+    """Median forward (model.forward with keep_cache) and backward
+    (model.backward) milliseconds of a T = 200 training step at each
+    BENCH_STEP_BATCHES size, over BENCH_STEPS steps after BENCH_WARMUP."""
+    model = CoopModel(CoopConfig.for_period(BENCH_STEP_PERIOD), seed=seed)
+    c = model.config
+    rng = np.random.default_rng(seed)
+    rows = []
+    for batch in BENCH_STEP_BATCHES:
+        x = rng.normal(size=(batch, c.T))
+        d_ac = rng.normal(size=(c.N, batch)) / (c.N * batch)
+        d_xr = rng.normal(size=(batch, c.T)) / (batch * c.T)
+        times = []
+        for _ in range(BENCH_WARMUP + BENCH_STEPS):
+            t0 = time.perf_counter()
+            result = model.forward(x, keep_cache=True)
+            t1 = time.perf_counter()
+            model.backward(result.cache, d_ac, d_xr)
+            times.append((t1 - t0, time.perf_counter() - t1))
+        forward_ms, backward_ms = np.median(times[BENCH_WARMUP:], axis=0) * 1e3
+        rows.append({"T": c.T, "batch": batch, "forward_ms": forward_ms,
+                     "backward_ms": backward_ms, "steps": BENCH_STEPS,
+                     "warmup": BENCH_WARMUP})
+    return rows
+
+
 @main.command("bench")
 @click.option("--points", default=1_000_000, type=click.IntRange(min=1), show_default=True)
 @click.option("--period", default=50, type=click.IntRange(min=1), show_default=True)
 @click.option("--seed", default=0, type=click.IntRange(min=0), show_default=True)
 @click.option("--json", "json_path", default=None, type=click.Path(dir_okay=False),
-              help="Also write the measurement and the machine it ran on as JSON")
+              help="Also time T = 200 training steps, and write the measurements "
+                   "and the machine they ran on as JSON")
 def cmd_bench(points, period, seed, json_path):
     """Measure detect throughput and peak memory on a generated series at
-    default config."""
+    default config; with --json also the forward and backward time of a
+    training step."""
+    if json_path is not None and not os.path.isdir(os.path.dirname(json_path) or "."):
+        raise DataError(f"{json_path}: no such directory")
     values, _ = synth.gen_periodic(points, period, noise_std=0.05,
                                    anomalies=(), seed=seed)
     config = CoopConfig.for_period(period)
@@ -337,10 +379,15 @@ def cmd_bench(points, period, seed, json_path):
     click.echo(f"elapsed={elapsed:.3f}s throughput={throughput:,.0f} points/s "
                f"peak_rss_mb={peak_rss_mb:.1f}")
     if json_path is not None:
+        steps = _train_step_rows(seed)
+        for step in steps:
+            click.echo(f"train step T={step['T']} batch={step['batch']}: "
+                       f"forward {step['forward_ms']:.2f} ms, backward "
+                       f"{step['backward_ms']:.2f} ms (median of {step['steps']})")
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         row = {"points": points, "period": period, "T": config.T, "params": n_params,
                "elapsed_s": elapsed, "points_per_s": throughput,
-               "peak_rss_mb": peak_rss_mb, "nproc": os.cpu_count(),
+               "peak_rss_mb": peak_rss_mb, "train_steps": steps, "nproc": os.cpu_count(),
                "numpy": np.__version__, "blas": blas.get("name"),
                "blas_version": blas.get("version"), "blas_threads": _openblas_threads()}
         with open(json_path, "w") as f:

@@ -15,10 +15,13 @@ inference pass runs the five GRU recurrences in float32 (`GruStack.forward`)
 and everything around them in float64; its scores differ from a float64
 pass by about 1e-8 on an untrained model and by up to 1.7e-7 after the
 100-epoch acceptance fit. An inference pass keeps each tensor only until
-its last read: the STFT features die once projected to the frequency GRU's
-input, and the reconstruction's blend, GRU states and per-patch output
-before the residual encode, so at T = 2000 it peaks at ~6.6 (N, B, H)
-float64 tensors (tracemalloc). The analysis window is always boxcar.
+its last read: the reconstruction's blend input, GRU states and per-patch
+output die before the residual encode, and the residual encode subtracts
+each branch's states from the window's encoding in place as soon as they
+are formed, so at T = 2000 it peaks at ~4.6 (N, B, H) float64 tensors
+(tracemalloc). A training pass caches no STFT features, and a training
+step at T = 200, B = 128 peaks at ~73 MB. The analysis window is always
+boxcar.
 Ablation behavior is selected by four config flags: masking strategy,
 classification granularity, branch fusion and scoring; the default
 configuration is soft masking, patch granularity, max fusion, joint
@@ -28,12 +31,16 @@ of a hard-masking model that was never trained raises, as there is no
 calibrated threshold. `CoopConfig` is the one place that decides whether
 the settings are valid; nothing downstream checks them again.
 
-The frequency branch reads per-patch STFT features framed straight from
-each window (`spectral.stft_apply` with the model's patch kernel). The
-backward pass maps their gradient to the reconstruction through the dense
-operator's transpose, `stft_mat`, its only use. The model builds that
-operator on its first backward and keeps it, so construction, checkpoint
-loading and detect never allocate it (256 MB at T = 2000).
+The frequency branch's input is the per-patch STFT features, framed
+straight from each window, times the frequency projection:
+`spectral.stft_apply` applies the model's patch kernel and the projection
+one block of patches at a time, so no pass forms or caches the (N, B,
+2KP) features. The backward makes them again (`spectral.stft_features`,
+the same products) for the projection's gradient, and maps their
+gradient to the reconstruction through the dense operator's transpose,
+`stft_mat`, its only use. The model builds that operator on its first
+backward and keeps it, so construction, checkpoint loading and detect never
+allocate it (256 MB at T = 2000).
 """
 
 from __future__ import annotations
@@ -250,9 +257,9 @@ class CoopModel:
 
         # residual pass: encode the reconstruction with the same encoders,
         # classify the differences with one shared patch head, max-fused
-        h_t, h_f, enc_r = self._encode(x_r, keep_cache)
-        _, _, a_r, resid_cache = self._two_heads(
-            ht_tilde - h_t, hf_tilde - h_f, ("resid", "resid"), "patch", "max")
+        d_t, d_f, enc_r = self._encode(x_r, keep_cache, minus=(ht_tilde, hf_tilde))
+        _, _, a_r, resid_cache = self._two_heads(d_t, d_f, ("resid", "resid"),
+                                                 "patch", "max")
         a_c = 0.5 * (a_fused + a_r)
 
         probs = PatchProbabilities(time=a_t, freq=a_f, fused=a_fused,
@@ -260,34 +267,40 @@ class CoopModel:
         cache = None
         if keep_cache:
             cache = {
-                "enc": enc, "enc_r": enc_r, "h_t": h_t, "h_f": h_f,
-                "cls": cls_cache, "resid": resid_cache, "coeff": coeff,
-                "grad_through_mask": grad_through_mask, **recon_cache,
+                "enc": enc, "enc_r": enc_r, "cls": cls_cache, "resid": resid_cache,
+                "coeff": coeff, "grad_through_mask": grad_through_mask, **recon_cache,
             }
         return ForwardResult(probs=probs, x_r=x_r, cache=cache)
 
-    def _encode(self, x, keep_cache=True):
+    def _encode(self, x, keep_cache=True, minus=None):
         """Time and frequency branch encoders over windows x (B, T).
 
         Returns (h_t, h_f, cache): top-layer GRU states (N, B, H) of each
-        branch, and what _encode_backward needs. The frequency features come
-        from the patch windows through the STFT patch kernel and are
-        projected to the GRU input before either GRU runs; when keep_cache
-        is false the cache holds neither them nor GRU caches, so they die
-        before the recurrences start.
+        branch, and what _encode_backward needs: the windows, their patches
+        and, when keep_cache is true, the GRU caches. The frequency GRU's
+        input comes from the patch windows through the STFT patch kernel and
+        the frequency projection (`spectral.stft_apply`), which never forms
+        the STFT features; the backward makes them again. The branches run
+        one after the other, each input made just before its GRU.
+
+        With minus = (f_t, f_f), (f_t - h_t, f_f - h_f) are returned in
+        place of the states. A training pass's states are its GRU caches, so
+        it forms new arrays; an inference pass subtracts in place, into f_t
+        and f_f, as soon as each branch's states are formed, and keeps
+        neither states array.
         """
         c = self.config
         t = self.tensors
         patches = x.reshape(x.shape[0], c.N, c.P).transpose(1, 0, 2)  # (N,B,P)
-        fpat = spectral.stft_apply(self.stft_kernel, x, c.P)          # (N,B,2KP)
-        u_f = fpat @ t["w_freq_patch"].T
-        cache = {"patches": patches}
-        if keep_cache:
-            cache["fpat"] = fpat
-        del fpat
+        cache = {"x": x, "patches": patches}
         h_t, cache["gru_t"] = self.gru_time.forward(patches @ t["w_time_patch"].T,
                                                     keep_cache=keep_cache)
+        if minus is not None:
+            h_t = np.subtract(minus[0], h_t, out=None if keep_cache else minus[0])
+        u_f = spectral.stft_apply(self.stft_kernel, x, c.P, t["w_freq_patch"])
         h_f, cache["gru_f"] = self.gru_freq.forward(u_f, keep_cache=keep_cache)
+        if minus is not None:
+            h_f = np.subtract(minus[1], h_f, out=None if keep_cache else minus[1])
         return h_t, h_f, cache
 
     def _reconstruct(self, patches, coeff, keep_cache):
@@ -304,8 +317,17 @@ class CoopModel:
         t = self.tensors
         z = patches @ t["w_mask_proj"].T                            # (N,B,H)
         em_cols = t["e_mask"].T[:, None, :]                         # (N,1,H)
-        e_m = coeff[..., None] * em_cols + (1.0 - coeff)[..., None] * z
+        # e_m = coeff * em_cols + (1 - coeff) * z, with one temporary; an
+        # inference pass scales z in place, as nothing reads it again
+        e_m = coeff[..., None] * em_cols
+        if keep_cache:
+            e_m += (1.0 - coeff)[..., None] * z
+        else:
+            z *= (1.0 - coeff)[..., None]
+            e_m += z
+            del z
         r_out, cache_r = self.gru_recon.forward(e_m, keep_cache=keep_cache)
+        del e_m
         xr_p = r_out @ t["w_out"].T                                 # (N,B,P)
         x_r = xr_p.transpose(1, 0, 2).reshape(patches.shape[1], c.T)
         if not keep_cache:
@@ -475,7 +497,8 @@ class CoopModel:
         grads["w_time_patch"] += np.einsum("nbh,nbp->hp", du_t, enc["patches"])
         du_f, g_list = self.gru_freq.backward(enc["gru_f"], d_h_f)
         self._add_stack_grads(grads, g_list, "gru_freq")
-        grads["w_freq_patch"] += np.einsum("nbh,nbf->hf", du_f, enc["fpat"])
+        fpat = spectral.stft_features(self.stft_kernel, enc["x"], self.config.P)
+        grads["w_freq_patch"] += np.einsum("nbh,nbf->hf", du_f, fpat)
         return du_t, du_f
 
     @staticmethod

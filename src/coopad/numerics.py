@@ -1,50 +1,59 @@
 """Dense numerical substrate: a stable sigmoid, stacked GRU forward/backward,
 Adam updates, and a finite-difference gradient checker.
 
-A training pass (keep_cache=True) runs in float64. An inference pass runs
-each GRU recurrence in float32: `GruStack.forward` casts its input once,
-each layer casts its weights per call (10.8k floats for a 3-layer H = 24
-stack, so no float32 copy is kept that training or loading could leave
-stale), and the top layer's output is returned as float64. The step loop,
-its sigmoid included, takes its dtype from its operands. Sequences are laid out
-(steps, batch, dim) so the recurrence loops over the leading axis. Gate
-blocks inside the stacked 3H weight matrices are ordered (z, r, n).
+Sequences are laid out (steps, batch, dim). Gate blocks inside the stacked
+3H weight matrices are ordered (z, r, n). A training pass (keep_cache=True)
+runs in float64; an inference pass runs each recurrence in float32 and
+returns the top layer's states as float64.
 
-An inference row does not depend on the rest of its batch. BLAS takes a
-one-row float32 product through gemv, which rounds differently from the
-gemm of any wider batch (up to 3e-7 on one (1, 24) @ (24, 72) product, and
-1e-8 to 1.4e-8 on scores at periods 37, 50 and 500), so a one-row inference
-batch runs as two rows and keeps the first.
+A `GruStack` runs as a layer wavefront (Appleyard et al. 2016, arXiv
+1604.01946): at wave step s every active layer l, a lane, runs its time
+step s - l, so a stack of L layers over T steps takes T + L - 1 wave steps
+instead of L * T layer steps. One stacked matmul applies every lane's
+(wx.T, wh.T) pair to its (input, previous state) pair, and one call per
+ufunc advances all lanes. Each lane's operands are the ones the per-layer
+loop gives that layer at that step, and every operation keeps the operands
+and order of the plain expressions (gx = x @ wx.T + bx, ..., h = (1 - z)
+* n + z * h), so outputs, caches and gradients have the same bytes. The
+weights are stacked per lane and used as transposed views, as the
+per-layer loop used wx.T: a contiguous copy of the transpose takes
+another BLAS path and, on a one-row batch (gemv), rounds differently.
 
-The GRU step loop computes one sigmoid over the stacked z|r block. Each step
-runs in buffers that one `GruStack.forward` call allocates once and its
-layers share (`_step_workspace`): the matmuls write with out=, the biases
-are added in place, the sigmoid and tanh write over their inputs, and the
-new state is written straight into the layer's output. Every operation
-keeps the operands and order of the plain expressions, so the bytes are the
-same. Likewise one `GruStack.backward` call allocates the (steps, batch, 3H)
-gate-gradient buffers that its layers overwrite in turn. Nothing is kept on
-the stack object between calls. On a 2-vCPU VM (NumPy 2.4, OpenBLAS 0.3.31)
-this took a 3-layer H = 24 stack's float64 forward over 25 steps at batch
-256 from 23.3 to 20.2 ms, and its backward at batch 128 from 18 to 15 ms.
+A training forward keeps its states in one buffer, each layer's inputs
+and states contiguous with a zero initial state in front, and writes them
+through a skewed view whose [s, l] is layer l's step s - l. Its gates are
+written per wave step into (wave step, lane) buffers, so every step reads
+and writes contiguous blocks. The cache is a `StackCache`: per layer a
+dict of (steps, batch, H) views (inputs, h, z, r, n, ghn, indexable by
+step) plus the buffers, which the backward walks lane by lane in reverse,
+top layer first; each lane's input gradient is one product per step that
+feeds the lane below at the next one. The backward keeps each layer's
+input-gate gradients dgx and forms the weight and bias gradients after the
+loop in ascending time, one layer at a time: those of wx and bx, then,
+with the n block scaled by r in place, which makes dgx the state-gate
+gradients dgh, those of wh and bh. The top layer's states are returned as
+a view of the state buffer.
 
-A layer's forward cache holds its inputs, hidden states h, gates z, r, n
-and the recurrent candidate term ghn, one entry per step; with
-keep_cache=False (inference) no gate buffers are allocated and no cache is
-returned. Backward walks the steps in reverse, storing the gate
-pre-activation gradients of every step, and then forms the input, weight
-and bias gradients with one matmul or sum each; the previous state is
-h[t-1], zeros at t = 0.
+An inference pass keeps two wave rows, casts each step's float64 input
+row into its row and writes the top layer's states straight into the
+float64 output, so besides the output it holds only (layers, batch, 3H)
+sized buffers. An inference row does not depend on the rest of its batch:
+BLAS takes a one-row float32 product through gemv, which rounds
+differently from the gemm of any wider batch (up to 3e-7 on one (1, 24) @
+(24, 72) product), so a one-row inference batch runs as two rows and keeps
+the first.
 
-The input projection stays inside the step loop. Hoisting it into one
-(steps, batch, 3H) matmul before the loop made the forward about 20 % slower
-on a 2-vCPU VM at T = 200 and T = 2000: the hoisted buffer is read back after
-it has left the cache, and page faults on a fresh megabyte-sized allocation
-cost ~4 us each there. The matmuls after the backward loop are stacked over
-steps, so NumPy runs one small BLAS product per step, which stays
-single-threaded; one product over all steps x batch rows is split across
-BLAS threads and took 7-8 ms instead of 0.5 ms on that VM whenever the
-second thread had gone idle.
+On a 2-vCPU VM (NumPy 2.4, OpenBLAS 0.3.31) the wavefront took the
+forward of a whole T = 200 training step (five 3-layer H = 24 stacks and
+the rest of the model) at batch 16 from 11.4 to 8.0 ms and its backward
+from 10.9 to 10.1 ms; at batch 128 the forward went 46.4 to 37.7 ms and
+the backward stayed at ~53 ms (`coopad bench --json` rows, medians of 50
+steps, alternating processes). Per wave step the lanes share one call per
+operation, which pays at small batches, where calls cost more than the
+arithmetic. Matmuls after the backward loop stay stacked over steps, so
+NumPy runs one small BLAS product per step, which stays single-threaded;
+one product over all steps x batch rows is split across BLAS threads and
+took 7-8 ms instead of 0.5 ms whenever the second thread had gone idle.
 """
 
 from __future__ import annotations
@@ -103,37 +112,103 @@ class GruStack:
         self.layers = [GruLayerParams(hidden, rng) for _ in range(layers)]
         self.hidden = hidden
 
+    def _weights(self, name, dtype):
+        """One layer tensor stacked over the layers, in dtype: (L, 3H, H)
+        for a weight, (L, 1, 3H) for a bias."""
+        stacked = np.stack([layer.tensors()[name] for layer in self.layers])
+        if stacked.ndim == 2:
+            stacked = stacked[:, None, :]
+        return stacked.astype(dtype, copy=False)
+
     def forward(self, inputs, keep_cache=True):
         """Run the stack over inputs (steps, batch, hidden).
 
         Returns (outputs, cache): outputs are the top layer's hidden states
-        as float64, cache holds per-layer gate activations needed for
-        backward, or is None when keep_cache is false; the recurrence then
-        runs in float32.
+        (steps, batch, hidden) as float64, cache the `StackCache` backward
+        needs, or None when keep_cache is false; the recurrence then runs in
+        float32.
         """
-        dtype = np.float64 if keep_cache else np.float32
-        inputs = np.asarray(inputs, dtype=dtype)
+        inputs = np.asarray(inputs, dtype=np.float64)
         if inputs.ndim != 3:
             raise ValueError("gru forward expects (steps, batch, dim) input")
-        if inputs.shape[0] < 1:
+        steps, batch, hdim = inputs.shape
+        if steps < 1:
             raise ValueError("sequence length must be >= 1")
-        if inputs.shape[2] != self.hidden:
-            raise ValueError(f"input dim {inputs.shape[2]} != hidden {self.hidden}")
-        batch = inputs.shape[1]
-        if not keep_cache and batch == 1:
-            # BLAS takes a one-row product through gemv, which rounds
-            # differently from the gemm every wider batch gets
-            inputs = np.repeat(inputs, 2, axis=1)
-        cache = [] if keep_cache else None
-        ws = _step_workspace(inputs.shape[1], self.hidden, dtype)
-        x = inputs
-        for layer in self.layers:
-            x, layer_cache = _gru_layer_forward(layer, x, keep_cache, ws)
-            if keep_cache:
-                cache.append(layer_cache)
+        if hdim != self.hidden:
+            raise ValueError(f"input dim {hdim} != hidden {self.hidden}")
+        layers = len(self.layers)
+        dtype = np.float64 if keep_cache else np.float32
+        # BLAS takes a one-row product through gemv, which rounds differently
+        # from the gemm every wider batch gets
+        rows = 2 if not keep_cache and batch == 1 else batch
+        waves = steps + layers - 1
+        # per lane the pair (wx.T, wh.T) as transposed views, and the biases
+        # (bx, bh) broadcast to the batch
+        w = np.stack([self._weights("wx", dtype), self._weights("wh", dtype)], axis=1)
+        w = w.transpose(0, 1, 3, 2)
+        b = np.stack([self._weights("bx", dtype), self._weights("bh", dtype)], axis=1)
+        b = np.repeat(b, rows, axis=2)
+        g = np.empty((layers, 2, rows, 3 * hdim), dtype)
+        zr_tmp = np.empty((layers, 2, rows, hdim), dtype)
+        blend = np.empty((layers, rows, hdim), dtype)
         if keep_cache:
-            return x, cache
-        return x[:, :batch].astype(np.float64), None
+            seq = np.zeros(((layers + 1) * (steps + 1), rows, hdim))
+            seq[1:steps + 1] = inputs
+            wave = _blocks(seq[1:], (waves + 1, layers + 1), (1, steps))
+            pairs = _blocks(seq[1:], (waves, layers, 2), (1, steps, steps))
+            zr_w = np.empty((waves, layers, 2, rows, hdim))
+            n_w, ghn_w = (np.empty((waves, layers, rows, hdim)) for _ in range(2))
+        else:
+            flat = np.zeros((2 * (layers + 1), rows, hdim), dtype)
+            wave = flat.reshape(2, layers + 1, rows, hdim)
+            pairs = [_blocks(flat[i * (layers + 1):], (layers, 2), (1, 1)) for i in (0, 1)]
+            zr_s = np.empty((layers, 2, rows, hdim), dtype)
+            n_s = np.empty((layers, rows, hdim), dtype)
+            out = np.empty((steps, batch, hdim))
+        for s in range(waves):
+            lo, hi = max(0, s - steps + 1), min(layers, s + 1)
+            k = hi - lo
+            g_s, bl = g[:k], blend[:k]
+            if keep_cache:
+                cur, nxt, pair = wave[s], wave[s + 1], pairs[s, lo:hi]
+                zr, n, ghn = zr_w[s, lo:hi], n_w[s, lo:hi], ghn_w[s, lo:hi]
+            else:
+                cur, nxt, pair = wave[s % 2], wave[(s + 1) % 2], pairs[s % 2][lo:hi]
+                if s < steps:
+                    cur[0] = inputs[s]
+                zr, n, ghn = zr_s[:k], n_s[:k], g_s[:, 1, :, 2 * hdim:]
+            h, h_new = cur[lo + 1:hi + 1], nxt[lo + 1:hi + 1]
+            z, r = zr[:, 0], zr[:, 1]
+            # every operation below keeps the operands and order of
+            # gx = x @ wx.T + bx; gh = h @ wh.T + bh; zr = sigmoid(gx + gh);
+            # n = tanh(gx_n + r * ghn); h = (1 - z) * n + z * h, where pair
+            # holds each lane's (x, h) and g_s its (gx, gh)
+            np.matmul(pair, w[lo:hi], out=g_s)
+            g_s += b[lo:hi]
+            gates = g_s.reshape(k, 2, rows, 3, hdim)
+            np.add(gates[:, 0, :, :2], gates[:, 1, :, :2], out=zr.transpose(0, 2, 1, 3))
+            _sigmoid_into(zr, zr, zr_tmp[:k])
+            if keep_cache:
+                ghn[...] = g_s[:, 1, :, 2 * hdim:]
+            np.multiply(r, ghn, out=n)
+            np.tanh(np.add(g_s[:, 0, :, 2 * hdim:], n, out=n), out=n)
+            np.subtract(1.0, z, out=bl)
+            bl *= n
+            np.multiply(z, h, out=h_new)
+            np.add(bl, h_new, out=h_new)
+            if not keep_cache and hi == layers:
+                out[s - layers + 1] = h_new[-1, :batch]
+        if not keep_cache:
+            return out, None
+        span = steps + 1
+        cache = StackCache(
+            [{"inputs": seq[l * span + 1:(l + 1) * span],
+              "h": seq[(l + 1) * span + 1:(l + 2) * span],
+              "z": zr_w[l:l + steps, l, 0], "r": zr_w[l:l + steps, l, 1],
+              "n": n_w[l:l + steps, l], "ghn": ghn_w[l:l + steps, l]}
+             for l in range(layers)],
+            wave, zr_w, n_w, ghn_w)
+        return cache[-1]["h"], cache
 
     def backward(self, cache, grad_outputs):
         """Backprop through time for the whole stack.
@@ -142,17 +217,72 @@ class GruStack:
         Returns (grad_inputs, grads) where grads is a list of per-layer
         dicts keyed like GruLayerParams.tensors().
         """
-        if len(cache) != len(self.layers):
+        layers = len(self.layers)
+        if len(cache) != layers:
             raise ValueError("cache depth does not match layer count")
-        grads = [None] * len(self.layers)
         d = np.asarray(grad_outputs, dtype=np.float64)
-        # gate pre-activation gradients of every step, shared by the layers
-        steps, batch = cache[0]["inputs"].shape[:2]
-        dgx = np.empty((steps, batch, 3 * self.hidden))
-        dgh = np.empty((steps, batch, 3 * self.hidden))
-        for i in range(len(self.layers) - 1, -1, -1):
-            d, grads[i] = _gru_layer_backward(self.layers[i], cache[i], d, dgx, dgh)
-        return d, grads
+        steps, batch, hdim = cache[0]["inputs"].shape
+        if d.shape != (steps, batch, hdim):
+            raise ValueError("grad_outputs shape does not match cached forward")
+        wx, wh = self._weights("wx", np.float64), self._weights("wh", np.float64)
+        # the input-gate gradients of every layer and step, contiguous per
+        # layer for the reductions after the loop, and their wave view
+        dgx_l = np.empty((layers * steps, batch, 3 * hdim))
+        dgx_w = _blocks(dgx_l, (steps + layers - 1, layers), (1, steps - 1))
+        dgh = np.empty((layers, batch, 3 * hdim))
+        dzr, omzr = (np.empty((layers, 2, batch, hdim)) for _ in range(2))
+        dn, nn = (np.empty((layers, batch, hdim)) for _ in range(2))
+        # d_up[l + 1] is the gradient reaching lane l's output at its step;
+        # dh_next holds each lane's dh, then dh_prev, then the next dh_next
+        d_up = np.empty((layers + 1, batch, hdim))
+        dh_next = np.zeros((layers, batch, hdim))
+        dx = np.empty((steps, batch, hdim))
+        for s in range(steps + layers - 2, -1, -1):
+            lo, hi = max(0, s - steps + 1), min(layers, s + 1)
+            k = hi - lo
+            if hi == layers:
+                d_up[layers] = d[s - layers + 1]
+            zr, n, ghn = cache.zr[s, lo:hi], cache.n[s, lo:hi], cache.ghn[s, lo:hi]
+            z, r = zr[:, 0], zr[:, 1]
+            hprev = cache.wave[s, lo + 1:hi + 1]
+            dg_x, dg_h, d_zr, om_zr = dgx_w[s, lo:hi], dgh[:k], dzr[:k], omzr[:k]
+            dz, dr = d_zr[:, 0], d_zr[:, 1]
+            # every operation below keeps the operands and order of
+            # dh = g + dh_next; dz = dh * (hprev - n); dn = dh * (1 - z);
+            # dh_prev = dh * z; dn_pre = dn * (1 - n * n); dr = dn_pre * ghn;
+            # dgx = [dz * z * (1 - z) | dr * r * (1 - r) | dn_pre];
+            # dgh = [same z|r block | dn_pre * r]; dh_next = dh_prev + dgh @ wh
+            d_h = np.add(d_up[lo + 1:hi + 1], dh_next[lo:hi], out=dh_next[lo:hi])
+            np.subtract(1.0, zr, out=om_zr)
+            np.subtract(hprev, n, out=dz)
+            np.multiply(d_h, dz, out=dz)
+            dn_pre = np.multiply(d_h, om_zr[:, 0], out=dn[:k])  # dn, until scaled
+            dh_prev = np.multiply(d_h, z, out=d_h)
+            n_n = np.multiply(n, n, out=nn[:k])
+            np.subtract(1.0, n_n, out=n_n)
+            dn_pre *= n_n
+            np.multiply(dn_pre, ghn, out=dr)
+            d_zr *= zr
+            d_zr *= om_zr
+            dg_x[..., :hdim] = dz
+            dg_x[..., hdim:2 * hdim] = dr
+            dg_x[..., 2 * hdim:] = dn_pre
+            dg_h[..., :2 * hdim] = dg_x[..., :2 * hdim]
+            dg_h[..., 2 * hdim:] = np.multiply(dn_pre, r, out=dn_pre)
+            np.matmul(dg_x, wx[lo:hi], out=d_up[lo:hi])
+            dh_prev += np.matmul(dg_h, wh[lo:hi], out=n_n)  # the lanes' next dh_next
+            if lo == 0:
+                dx[s] = d_up[0]
+        grads = []
+        for l, lc in enumerate(cache):
+            dg = dgx_l[l * steps:(l + 1) * steps]
+            dwx = np.matmul(dg.transpose(0, 2, 1), lc["inputs"]).sum(axis=0)
+            dbx = dg.sum(axis=(0, 1))
+            dg[..., 2 * hdim:] *= lc["r"]  # dgx becomes dgh: dn_pre * r
+            # h[t-1] is zero at t = 0, so the first step adds nothing to dwh
+            dwh = np.matmul(dg[1:].transpose(0, 2, 1), lc["h"][:-1]).sum(axis=0)
+            grads.append({"wx": dwx, "wh": dwh, "bx": dbx, "bh": dg.sum(axis=(0, 1))})
+        return dx, grads
 
     def tensors(self, prefix):
         out = {}
@@ -162,87 +292,23 @@ class GruStack:
         return out
 
 
-def _step_workspace(batch, hdim, dtype):
-    """Step buffers of one GruStack.forward call, shared by its layers:
-    gx and gh (batch, 3H); zr and its sigmoid scratch (batch, 2H); n, the
-    blend's (1 - z)*n term and the zero initial state (batch, H)."""
-    return (np.empty((batch, 3 * hdim), dtype), np.empty((batch, 3 * hdim), dtype),
-            np.empty((batch, 2 * hdim), dtype), np.empty((batch, 2 * hdim), dtype),
-            np.empty((batch, hdim), dtype), np.empty((batch, hdim), dtype),
-            np.zeros((batch, hdim), dtype))
+class StackCache(list):
+    """A training forward's cache: one dict per layer, whose inputs, h, z,
+    r, n and ghn are (steps, batch, .) views into the flat wave buffers
+    this object also holds for the backward to walk lane by lane."""
+
+    def __init__(self, layer_caches, wave, zr, n, ghn):
+        super().__init__(layer_caches)
+        self.wave, self.zr, self.n, self.ghn = wave, zr, n, ghn
 
 
-def _gru_layer_forward(layer, inputs, keep_cache, ws):
-    steps, batch, _ = inputs.shape
-    hdim = layer.hidden
-    gx, gh, zr, zr_tmp, n, blend, h = ws
-    gx_zr, gx_n = gx[:, :2 * hdim], gx[:, 2 * hdim:]
-    gh_zr, ghn = gh[:, :2 * hdim], gh[:, 2 * hdim:]
-    z, r = zr[:, :hdim], zr[:, hdim:]
-    dtype = inputs.dtype
-    wx_t, wh_t = layer.wx.T.astype(dtype, copy=False), layer.wh.T.astype(dtype, copy=False)
-    bx, bh = layer.bx.astype(dtype, copy=False), layer.bh.astype(dtype, copy=False)
-    hs = np.empty((steps, batch, hdim), dtype)
-    if keep_cache:
-        zs, rs, ns, ghns = (np.empty((steps, batch, hdim)) for _ in range(4))
-    for t in range(steps):
-        # every operation below keeps the operands and order of
-        # gx = x @ wx.T + bx; gh = h @ wh.T + bh; zr = sigmoid(gx + gh);
-        # n = tanh(gx_n + r * ghn); h = (1 - z) * n + z * h
-        np.matmul(inputs[t], wx_t, out=gx)
-        gx += bx
-        np.matmul(h, wh_t, out=gh)
-        gh += bh
-        _sigmoid_into(np.add(gx_zr, gh_zr, out=zr), zr, zr_tmp)
-        np.multiply(r, ghn, out=n)
-        np.tanh(np.add(gx_n, n, out=n), out=n)
-        np.subtract(1.0, z, out=blend)
-        blend *= n
-        np.multiply(z, h, out=hs[t])
-        h = np.add(blend, hs[t], out=hs[t])
-        if keep_cache:
-            zs[t], rs[t], ns[t], ghns[t] = z, r, n, ghn
-    cache = None
-    if keep_cache:
-        cache = {"inputs": inputs, "h": hs, "z": zs, "r": rs, "n": ns, "ghn": ghns}
-    return hs, cache
-
-
-def _gru_layer_backward(layer, cache, grad_outputs, dgx, dgh):
-    """dgx and dgh are (steps, batch, 3H) buffers this call overwrites."""
-    inputs = cache["inputs"]
-    steps, batch, _ = inputs.shape
-    hdim = layer.hidden
-    if grad_outputs.shape != (steps, batch, hdim):
-        raise ValueError("grad_outputs shape does not match cached forward")
-    # gate pre-activation gradients of every step: dgh feeds wh, bh and the
-    # recurrence; dgx (same z|r block, n block not scaled by r) feeds wx, bx
-    # and the inputs
-    dh_next = np.zeros((batch, hdim))
-    h0 = np.zeros((batch, hdim))
-    for t in range(steps - 1, -1, -1):
-        dh = grad_outputs[t] + dh_next
-        z, r, n = cache["z"][t], cache["r"][t], cache["n"][t]
-        ghn = cache["ghn"][t]
-        hprev = cache["h"][t - 1] if t > 0 else h0
-        dz = dh * (hprev - n)
-        dn = dh * (1.0 - z)
-        dh_prev = dh * z
-        dn_pre = dn * (1.0 - n * n)
-        dr = dn_pre * ghn
-        dg = dgh[t]
-        dg[:, :hdim] = dz * z * (1.0 - z)
-        dg[:, hdim:2 * hdim] = dr * r * (1.0 - r)
-        dg[:, 2 * hdim:] = dn_pre * r
-        dgx[t, :, 2 * hdim:] = dn_pre
-        dh_next = dh_prev + dg @ layer.wh
-    dgx[:, :, :2 * hdim] = dgh[:, :, :2 * hdim]
-    # h[t-1] is zero at t = 0, so the first step adds nothing to dwh
-    dwx = np.matmul(dgx.transpose(0, 2, 1), inputs).sum(axis=0)
-    dwh = np.matmul(dgh[1:].transpose(0, 2, 1), cache["h"][:-1]).sum(axis=0)
-    grads = {"wx": dwx, "wh": dwh,
-             "bx": dgx.sum(axis=(0, 1)), "bh": dgh.sum(axis=(0, 1))}
-    return dgx @ layer.wx, grads
+def _blocks(buf, counts, steps):
+    """A view of buf (blocks, ...) with leading axes `counts` whose index
+    (i, j, ...) is block i * steps[0] + j * steps[1] + ...; indices may
+    share a block. Callers keep every index inside buf."""
+    return np.lib.stride_tricks.as_strided(
+        buf, shape=tuple(counts) + buf.shape[1:],
+        strides=tuple(n * buf.strides[0] for n in steps) + buf.strides[1:])
 
 
 class AdamState:

@@ -11,6 +11,7 @@ from .data import (_CHUNK_BYTES, DataError, make_windows, open_text,
                    window_origins)
 
 BATCH = 256  # windows per forward pass in detect
+CSV_BLOCK = 8192  # rows write_scores_csv formats at a time
 
 
 @dataclass
@@ -89,7 +90,9 @@ def detect(test_values, model, scoring=None):
     period + 1 points for an even period and period + 2 for an odd one.
     Windows are cut, scored and stitched BATCH (a constant) at a time, so
     memory is the result plus one batch's forward pass at any length; the
-    scores are byte-reproducible.
+    scores are byte-reproducible. A value that overflows, such as a test
+    value beyond float32's range (~3.4e38) in the float32 recurrences,
+    raises FloatingPointError instead of scoring NaN.
     """
     c = model.config
     if scoring is None:
@@ -98,10 +101,12 @@ def detect(test_values, model, scoring=None):
     origins = window_origins(n, c.T, stride=max(1, c.T // 4))
     total = np.zeros(n)
     coverage = np.zeros(n, dtype=np.uint8)  # at most T/stride + 2 windows a point
-    for start in range(0, len(origins), BATCH):
-        wb = make_windows(test_values, c.T, origins[start:start + BATCH])
-        window_scores = pointwise_scores(wb.windows, model.forward(wb.windows), scoring)
-        stitch(window_scores, wb.origins, total, coverage)
+    with np.errstate(over="raise", invalid="raise"):
+        for start in range(0, len(origins), BATCH):
+            wb = make_windows(test_values, c.T, origins[start:start + BATCH])
+            window_scores = pointwise_scores(wb.windows, model.forward(wb.windows),
+                                             scoring)
+            stitch(window_scores, wb.origins, total, coverage)
     total /= coverage  # window_origins covers every point
     smooth_width = c.smooth_window if c.smooth_window > 0 else c.P
     return ScoreSeries(scores=total, smoothed=smooth(total, smooth_width),
@@ -109,10 +114,19 @@ def detect(test_values, model, scoring=None):
 
 
 def write_scores_csv(path, series):
+    """Write `index,score,smoothed` rows, "%d,%.10g,%.10g" each. Rows are
+    formatted CSV_BLOCK at a time, by one % over a flat list of Python
+    numbers, which bounds the memory the formatting takes."""
+    n = len(series.scores)
     with open(path, "w") as f:
         f.write("index,score,smoothed\n")
-        for i, (s, sm) in enumerate(zip(series.scores, series.smoothed)):
-            f.write("%d,%.10g,%.10g\n" % (i, s, sm))
+        for a in range(0, n, CSV_BLOCK):
+            b = min(a + CSV_BLOCK, n)
+            flat = [None] * (3 * (b - a))
+            flat[0::3] = range(a, b)
+            flat[1::3] = series.scores[a:b].tolist()
+            flat[2::3] = series.smoothed[a:b].tolist()
+            f.write("%d,%.10g,%.10g\n" * (b - a) % tuple(flat))
 
 
 def _score_rows(chunk, lineno, path):

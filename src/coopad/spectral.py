@@ -1,16 +1,19 @@
 """Short-time Fourier features: hop 1, centered, reflect padded, boxcar.
 
-The forward path is framed: `stft_apply` reflect pads each window, views
-it as one overlapping window per patch (a strided view, never copied) and
-applies the block-Toeplitz kernel of `stft_patch_kernel`, giving the
-per-patch features the model's frequency encoder reads. A window costs
-O(T * (P + frame_len) * 2K) multiply-adds this way, against O(2K * T^2)
-through a dense operator, and the call allocates only the padded windows
-and its output. `stft_matrix` builds the spectrogram as an explicit
-(2K*T, T) operator, row (k, t) holding the DFT weights of bin k for the
-frame centered at t; the model's backward pass uses its transpose product
-as the adjoint, and builds it on its first backward, so inference never
-holds it.
+The forward path is framed: `_patch_windows` reflect pads each window and
+views it as one overlapping window per patch (a strided view, never
+copied), and `stft_features` applies the block-Toeplitz kernel of
+`stft_patch_kernel` to those windows, giving the per-patch features the
+model's frequency encoder reads. A window costs O(T * (P + frame_len) *
+2K) multiply-adds this way, against O(2K * T^2) through a dense operator.
+The model's forward calls `stft_apply`, which projects the features to the
+encoder's input PATCH_BLOCK patches at a time and never holds more of
+them: at T = 2000 and 256 windows all of them would be 33 MB. Its
+backward calls `stft_features` for the projection's gradient.
+`stft_matrix` builds the spectrogram as an explicit (2K*T, T) operator,
+row (k, t) holding the DFT weights of bin k for the frame centered at t;
+the model's backward pass uses its transpose product as the adjoint, and
+builds it on its first backward, so inference never holds it.
 
 The functions take their shapes as `CoopConfig` validated them (frame_len
 even and at most T, K at most frame_len/2 + 1, T a multiple of P) and do
@@ -20,6 +23,8 @@ not check them again.
 from __future__ import annotations
 
 import numpy as np
+
+PATCH_BLOCK = 16  # patches stft_apply projects at a time
 
 
 def frame_len_for_period(period):
@@ -75,27 +80,47 @@ def stft_patch_kernel(P, frame_len, K):
     return kernel.reshape(P + frame_len - 1, P * 2 * K)
 
 
-def stft_apply(kernel, x, P):
+def _patch_windows(x, P, width):
+    """(windows, B): the N patch windows (N, B', width) of windows x (B, T),
+    one window of `width` = P + frame_len - 1 samples at every multiple of
+    P of x reflect padded by frame_len / 2 on each side, as a strided view.
+    A one-row x is repeated to two rows (B' = 2): BLAS takes a one-row
+    product through gemv, which rounds differently from the gemm every
+    wider batch gets, so a product with the windows keeps its first B rows."""
+    x = np.asarray(x, dtype=np.float64)
+    B, T = x.shape
+    if B == 1:
+        x = np.repeat(x, 2, axis=0)
+    half = (width - P + 1) // 2  # frame_len / 2
+    xpad = np.pad(x, ((0, 0), (half, half)), mode="reflect")
+    windows = np.lib.stride_tricks.sliding_window_view(xpad, width, axis=1)[:, :T:P]
+    return windows.transpose(1, 0, 2), B
+
+
+def stft_features(kernel, x, P):
     """Per-patch STFT features (N, B, P*2K) of windows x (B, T) from a
     stft_patch_kernel(P, frame_len, K).
 
     Feature p*2K + k of patch n is bin k of the frame centered at n*P + p,
-    the spectrogram stft_matrix gives, cut into patches. x is reflect padded
-    by frame_len/2 on each side; a strided view cuts it into N patch
-    windows of P + frame_len - 1 samples at stride P, without copying, and
-    one stacked matmul applies the kernel to each patch's (B, P + frame_len
-    - 1) rows. So besides its output it allocates only the padded windows.
+    the spectrogram stft_matrix gives, cut into patches. One stacked matmul
+    applies the kernel to each patch's (B, P + frame_len - 1) rows of
+    `_patch_windows`, so besides its output the call allocates only the
+    padded windows.
     """
-    x = np.asarray(x, dtype=np.float64)
-    B, T = x.shape
-    if B == 1:
-        # BLAS takes a one-row product through gemv, which rounds
-        # differently from the gemm every wider batch gets
-        x = np.repeat(x, 2, axis=0)
-    width = kernel.shape[0]
-    frame_len = width - P + 1
-    n = T // P
-    xpad = np.pad(x, ((0, 0), (frame_len // 2, frame_len // 2)), mode="reflect")
-    frames = np.lib.stride_tricks.sliding_window_view(xpad, width, axis=1)[:, :n * P:P]
-    out = np.matmul(frames.transpose(1, 0, 2), kernel)    # (N, B, P*2K)
-    return np.ascontiguousarray(out[:, :B])
+    windows, B = _patch_windows(x, P, kernel.shape[0])
+    return np.ascontiguousarray(np.matmul(windows, kernel)[:, :B])
+
+
+def stft_apply(kernel, x, P, proj):
+    """The projection stft_features(kernel, x, P) @ proj.T (N, B, D) of
+    windows x (B, T) by proj (D, P*2K), without forming the features:
+    PATCH_BLOCK patches at a time are made and projected. Each patch's two
+    products are the ones the features and a product of them with proj.T
+    take, so the bytes are the same."""
+    windows, B = _patch_windows(x, P, kernel.shape[0])
+    n = windows.shape[0]
+    out = np.empty((n, B, proj.shape[0]))
+    for a in range(0, n, PATCH_BLOCK):
+        feats = np.matmul(windows[a:a + PATCH_BLOCK], kernel)[:, :B]
+        np.matmul(feats, proj.T, out=out[a:a + PATCH_BLOCK])
+    return out

@@ -109,8 +109,15 @@ def loss_and_grads(model, x_distorted, x_clean, patch_labels, rng=None):
 
 def clip_grads(grads, max_norm):
     """Scale all gradients in place by one factor so that their global L2
-    norm is at most max_norm (training passes GRAD_CLIP)."""
-    total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    norm is at most max_norm (training passes GRAD_CLIP). When the sum of
+    squares overflows (gradients beyond ~1e154), the norm is taken after
+    dividing by the largest magnitude, so huge gradients are scaled down
+    rather than zeroed."""
+    with np.errstate(over="ignore"):
+        total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    if np.isinf(total):
+        top = max(float(np.abs(g).max()) for g in grads.values())
+        total = top * np.sqrt(sum(float(((g / top) ** 2).sum()) for g in grads.values()))
     if total > max_norm:
         scale = max_norm / total
         for g in grads.values():

@@ -56,6 +56,17 @@ class TestTrain:
         assert lines[0] == "epoch,bce,mse,total,seconds"
         assert len(lines) == 3
 
+    def test_huge_lam_trains(self, dataset, tmp_path):
+        # lam 1e200 overflows the gradients' sum of squares; clip_grads
+        # rescales instead of zeroing them, so one epoch moves the model
+        untrained, trained = tmp_path / "e0", tmp_path / "e1"
+        for out, epochs in ((untrained, "0"), (trained, "1")):
+            r = run_cli(train_args(dataset, str(out), ["--lam", "1e200",
+                                                       "--epochs", epochs]))
+            assert r.exit_code == 0, r.output
+        assert (trained / "model.ckpt").read_bytes() != \
+            (untrained / "model.ckpt").read_bytes()
+
     def test_exclude_kind_echoed(self, dataset, tmp_path):
         r = run_cli(train_args(dataset, str(tmp_path / "run"),
                                ["--exclude-kind", "mirror_flip"]))
@@ -451,6 +462,13 @@ class TestBench:
         assert row["nproc"] >= 1 and row["numpy"] == np.__version__
         assert isinstance(row["blas"], str) and isinstance(row["blas_version"], str)
         assert row["blas_threads"] is None or row["blas_threads"] >= 1
+        # --json also times T = 200 training steps, forward and backward apart
+        assert [(s["T"], s["batch"]) for s in row["train_steps"]] == [(200, 16), (200, 128)]
+        for s in row["train_steps"]:
+            assert s["forward_ms"] > 0 and s["backward_ms"] > 0
+            assert s["steps"] >= 50 and s["warmup"] >= 20
+            assert (f"train step T=200 batch={s['batch']}: forward {s['forward_ms']:.2f} ms"
+                    in r.output)
 
     def test_json_in_missing_directory_is_a_data_error(self, tmp_path):
         r = CliRunner().invoke(main, ["bench", "--points", "2000", "--period", "20",

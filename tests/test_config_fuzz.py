@@ -127,6 +127,19 @@ def test_zero_norm_std_scores(run):
     assert wrote
 
 
+@pytest.mark.parametrize("norm_mean", [1e300, -1e300, 1e308])
+def test_overflowing_norm_mean_exits_4(run, norm_mean):
+    # the normalised test values overflow detect's float32 cast (1e300) or
+    # its float64 products (1e308): one error line names the overflow, no
+    # RuntimeWarning escapes (tier-1 would turn it into exit 1), no scores
+    r, wrote = detect_with(run, set_field("data", "norm_mean", norm_mean))
+    assert r.exit_code == 4, (r.output, r.exception)
+    assert re.search(r"^error: detect: overflow encountered in \w+", r.output, re.M), \
+        r.output
+    assert "Warning" not in r.output and "Traceback" not in r.output
+    assert not wrote
+
+
 MISSING = object()
 MUTATIONS = {
     "wrong_type": st.text(max_size=4) | st.booleans() | st.none()
@@ -148,10 +161,9 @@ def mutations(draw):
     return section, name, kind, draw(MUTATIONS[kind])
 
 
-# a norm_mean near the float range overflows NumPy arithmetic: the CLI
-# prints NumPy's RuntimeWarning and exits 4 on the non-finite scores
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
+# a norm_mean near the float range overflows detect's arithmetic: the CLI
+# exits 4 naming the overflow, and no RuntimeWarning escapes (tier-1 turns
+# warnings into errors)
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(mutation=mutations())
 def test_mutated_field_exits_0_3_or_4(run, mutation):

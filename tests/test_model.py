@@ -300,28 +300,36 @@ class TestParamsAndPersistence:
 
 class TestEncode:
     def test_residual_pass_reuses_the_encoders(self):
-        # the residual states are the input encoders applied to x_r
+        # the residual head reads the window's encodings minus the input
+        # encoders applied to x_r
         m = small_model(seed=17)
-        res = m.forward(batch(seed=18), keep_cache=True)
+        xb = batch(seed=18)
+        res = m.forward(xb, keep_cache=True)
+        ht_tilde, hf_tilde, _ = m._encode(xb)
         h_t, h_f, _ = m._encode(res.x_r)
-        assert np.array_equal(res.cache["h_t"], h_t)
-        assert np.array_equal(res.cache["h_f"], h_f)
+        resid = res.cache["resid"]
+        assert np.array_equal(resid["head_t"]["feats"], ht_tilde - h_t)
+        assert np.array_equal(resid["head_f"]["feats"], hf_tilde - h_f)
 
     def test_inference_cache_keeps_no_frequency_features(self):
-        # only backward reads the frequency features; an inference pass
-        # drops them with the GRU caches
+        # stft_apply projects the features as it makes them and the backward
+        # makes them again, so neither pass keeps them; an inference pass
+        # keeps no GRU caches either
         m = small_model(seed=19)
-        _, _, enc = m._encode(batch(seed=20), keep_cache=False)
-        assert "fpat" not in enc
+        xb = batch(seed=20)
+        _, _, enc = m._encode(xb, keep_cache=False)
+        assert set(enc) == {"x", "patches", "gru_t", "gru_f"}
         assert enc["gru_t"] is None and enc["gru_f"] is None
-        _, _, enc = m._encode(batch(seed=20), keep_cache=True)
-        assert enc["fpat"].shape == (4, 3, 4 * 2 * 2)
+        _, _, enc = m._encode(xb, keep_cache=True)
+        assert set(enc) == {"x", "patches", "gru_t", "gru_f"}
+        assert enc["x"] is xb and len(enc["gru_t"]) == len(enc["gru_f"]) == 1
 
     def test_inference_forward_peak_memory(self):
         # an inference forward holds each tensor only until its last read:
-        # the frequency features die once projected, the reconstruction's
-        # blend and GRU states before the residual encode. Keeping them
-        # reads ~11.8 units of one (N, B, H) float64 tensor, dropping them ~6.7.
+        # the frequency features are never formed, the reconstruction's
+        # blend and GRU states die before the residual encode, which forms
+        # the differences in place. Keeping them reads ~11.8 units of one
+        # (N, B, H) float64 tensor, dropping them ~6.7, and now ~4.7.
         m = CoopModel(CoopConfig.for_period(500), seed=0)
         c = m.config
         B = 16
@@ -336,6 +344,42 @@ class TestEncode:
             tracemalloc.stop()
         assert c.T == 2000
         assert peak / (c.N * B * c.H * 8) < 8.0
+
+    # Bounds fixed before the first run: the per-layer GRU loop peaked at
+    # 70.5 MB in the training step and 81.5 MB in the inference forward.
+    def test_training_step_peak_memory(self):
+        # a T = 200, B = 128 step, the CLI's default batch
+        m = CoopModel(CoopConfig.for_period(50), seed=0)
+        c, B = m.config, 128
+        rng = np.random.default_rng(28)
+        x_clean = rng.normal(size=(B, c.T))
+        x_dist = x_clean + rng.normal(0, 0.3, size=(B, c.T))
+        labels = (rng.random((B, c.N)) < 0.2).astype(np.int8)
+        loss_and_grads(m, x_dist, x_clean, labels)  # builds the dense adjoint once
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loss_and_grads(m, x_dist, x_clean, labels)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert c.T == 200
+        assert peak <= 77e6
+
+    def test_wide_inference_forward_peak_memory(self):
+        # a T = 2000 forward of one detect batch (score.BATCH = 256 windows)
+        m = CoopModel(CoopConfig.for_period(500), seed=0)
+        x = np.random.default_rng(29).normal(size=(score.BATCH, m.config.T))
+        m.forward(x)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            m.forward(x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert m.config.T == 2000 and score.BATCH == 256
+        assert peak <= 70e6
 
 
 class TestDenseAdjoint:

@@ -320,16 +320,31 @@ F32_GAP_BOUND = 1e-5
 
 
 class TestGruWorkspaceBytes:
-    """The step loop runs in buffers shared by a call's layers; every byte
-    must equal the plain-expression loop's: in float64 for a training pass,
-    in float32 for an inference pass."""
+    """The stack runs as a layer wavefront in shared wave buffers; every
+    byte must equal the plain per-layer loop's: in float64 for a training
+    pass (outputs, caches, gradients), in float32 for an inference pass."""
 
     @pytest.mark.parametrize("scale", [1.0, 800.0])
     @pytest.mark.parametrize("steps, batch, hdim",
                              [(1, 1, 3), (7, 5, 24), (25, 256, 24), (250, 3, 24)])
     def test_matches_plain_loop(self, steps, batch, hdim, scale):
-        rng = np.random.default_rng(steps * 1000 + batch)
-        stack = GruStack(hdim, layers=3, rng=rng)
+        self.check(steps, batch, hdim, scale, layers=3)
+
+    # 1, 2, 3 and 5 layers over fewer steps than layers (where no wave step
+    # holds every lane), one- and two-row batches and the model's shapes
+    @pytest.mark.parametrize("layers", [1, 2, 3, 5])
+    @pytest.mark.parametrize("steps, batch, hdim",
+                             [(1, 1, 3), (2, 1, 24), (1, 3, 5), (3, 2, 24), (4, 1, 6),
+                              (25, 16, 24), (25, 128, 24)])
+    def test_layer_counts(self, layers, steps, batch, hdim):
+        self.check(steps, batch, hdim, 1.0, layers)
+        if steps < layers:
+            self.check(steps, batch, hdim, 800.0, layers)
+
+    @staticmethod
+    def check(steps, batch, hdim, scale, layers):
+        rng = np.random.default_rng(steps * 1000 + batch + 100 * layers)
+        stack = GruStack(hdim, layers=layers, rng=rng)
         for layer in stack.layers:
             layer.bx[:] = rng.normal(size=layer.bx.shape)
             layer.bh[:] = rng.normal(size=layer.bh.shape)
@@ -345,8 +360,10 @@ class TestGruWorkspaceBytes:
         assert plain.tobytes() == oracle_stack_forward(stack, x, np.float32).tobytes()
         if scale == 1.0:
             assert np.abs(plain - out).max() <= F32_GAP_BOUND
+        assert len(cache) == layers
         for got_c, want_c in zip(cache, want_cache):
-            for k in ("h", "z", "r", "n", "ghn"):
+            for k in ("inputs", "h", "z", "r", "n", "ghn"):
+                assert got_c[k].shape == want_c[k].shape, k
                 assert got_c[k].tobytes() == want_c[k].tobytes(), k
         d_out = rng.normal(size=out.shape)
         dx, grads = stack.backward(cache, d_out)

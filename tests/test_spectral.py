@@ -6,15 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopad.model import CoopConfig, CoopModel
-from coopad.spectral import (frame_len_for_period, stft_apply, stft_matrix,
-                             stft_patch_kernel)
+from coopad.spectral import (PATCH_BLOCK, frame_len_for_period, stft_apply,
+                             stft_features, stft_matrix, stft_patch_kernel)
 
 
 def stft(x, K, frame_len):
     """Spectrogram (2K, T) of one window through the framed path the model
     runs, with one frame per patch (P = 1)."""
     x = np.asarray(x, dtype=np.float64)
-    return stft_apply(stft_patch_kernel(1, frame_len, K), x[None, :], 1)[:, 0, :].T
+    return stft_features(stft_patch_kernel(1, frame_len, K), x[None, :], 1)[:, 0, :].T
 
 
 def dense_patch_features(x, P, frame_len, K):
@@ -26,8 +26,8 @@ def dense_patch_features(x, P, frame_len, K):
     return spec.transpose(2, 0, 3, 1).reshape(T // P, B, P * 2 * K)
 
 
-def copied_frames_stft_apply(kernel, x, P):
-    """Reference for stft_apply's bytes: the patch windows copied
+def copied_frames_stft_features(kernel, x, P):
+    """Reference for stft_features's bytes: the patch windows copied
     patch-major, then one (N*B, P + frame_len - 1) matmul with the kernel."""
     B, T = x.shape
     width = kernel.shape[0]
@@ -182,10 +182,10 @@ class TestStft:
         rng = np.random.default_rng(3)
         xb = rng.normal(size=(3, 32))
         kernel = stft_patch_kernel(4, 8, 4)
-        batched = stft_apply(kernel, xb, 4)
+        batched = stft_features(kernel, xb, 4)
         for b in range(3):
             # BLAS may block a one-row product differently
-            assert np.allclose(batched[:, b], stft_apply(kernel, xb[b:b + 1], 4)[:, 0],
+            assert np.allclose(batched[:, b], stft_features(kernel, xb[b:b + 1], 4)[:, 0],
                                atol=1e-12)
 
     def test_validation(self):
@@ -204,12 +204,12 @@ class TestStft:
         c = CoopConfig(T=8, P=4, frame_len=8, K=5)
         assert stft_matrix(c.T, c.frame_len, c.K).shape == (2 * c.K * c.T, c.T)
         kernel = stft_patch_kernel(c.P, c.frame_len, c.K)
-        feats = stft_apply(kernel, np.zeros((1, c.T)), c.P)
+        feats = stft_features(kernel, np.zeros((1, c.T)), c.P)
         assert feats.shape == (c.N, 1, c.P * 2 * c.K)
 
 
 class TestFramedFeatures:
-    """stft_apply against the dense operator's spectrogram cut into patches."""
+    """stft_features against the dense operator's spectrogram cut into patches."""
 
     # T == frame_len, frame_len < P, P == 1, K == frame_len/2 + 1, P == T,
     # a single-sample reflection (frame_len 2) and frame_len 64, the largest
@@ -220,7 +220,7 @@ class TestFramedFeatures:
         (800, 8, 64, 4)])
     def test_matches_dense_operator(self, T, P, frame_len, K):
         x = np.random.default_rng(T + P).normal(size=(3, T))
-        got = stft_apply(stft_patch_kernel(P, frame_len, K), x, P)
+        got = stft_features(stft_patch_kernel(P, frame_len, K), x, P)
         want = dense_patch_features(x, P, frame_len, K)
         assert got.shape == want.shape == (T // P, 3, P * 2 * K)
         assert np.max(np.abs(got - want)) <= 1e-12
@@ -236,7 +236,7 @@ class TestFramedFeatures:
         B = data.draw(st.integers(1, 3), label="B")
         x = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed")) \
                      .normal(size=(B, T))
-        got = stft_apply(stft_patch_kernel(P, frame_len, K), x, P)
+        got = stft_features(stft_patch_kernel(P, frame_len, K), x, P)
         assert np.max(np.abs(got - dense_patch_features(x, P, frame_len, K))) <= 1e-12
 
     # the windows of periods 38, 50 and 500 at the default patch, at batch
@@ -246,9 +246,24 @@ class TestFramedFeatures:
     def test_bytes_match_copied_frames(self, T, frame_len, B):
         kernel = stft_patch_kernel(8, frame_len, 4)
         x = np.random.default_rng(T + B).normal(size=(B, T))
-        got = stft_apply(kernel, x, 8)
-        want = copied_frames_stft_apply(kernel, x, 8)
+        got = stft_features(kernel, x, 8)
+        want = copied_frames_stft_features(kernel, x, 8)
         assert got.shape == want.shape and got.flags.c_contiguous
+        assert np.array_equal(got, want)
+
+    # the windows of periods 50 and 500, whose 25 and 250 patches are not a
+    # multiple of the block stft_apply projects at a time
+    @pytest.mark.parametrize("T, frame_len", [(200, 50), (2000, 64)])
+    @pytest.mark.parametrize("B", [1, 2, 3, 256])
+    def test_projection_bytes_match_two_step_product(self, T, frame_len, B):
+        assert (T // 8) % PATCH_BLOCK != 0
+        kernel = stft_patch_kernel(8, frame_len, 4)
+        rng = np.random.default_rng(T + B)
+        x = rng.normal(size=(B, T))
+        proj = rng.uniform(-0.125, 0.125, size=(24, 8 * 2 * 4))  # as w_freq_patch
+        got = stft_apply(kernel, x, 8, proj)
+        want = stft_features(kernel, x, 8) @ proj.T
+        assert got.shape == want.shape == (T // 8, B, 24)
         assert np.array_equal(got, want)
 
     def test_allocates_only_padded_windows_and_output(self):
@@ -258,7 +273,7 @@ class TestFramedFeatures:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            out = stft_apply(kernel, x, P)
+            out = stft_features(kernel, x, P)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -295,13 +310,18 @@ class TestPatching:
         assert out[1, 0].tolist() == [4, 5, 6, 7]
 
     def test_spectrogram_patches_oracle(self):
+        # the features the frequency encoder's input is projected from:
+        # stft_features with the model's patch kernel against the naive
+        # per-frame DFT, cut into patches
         rng = np.random.default_rng(4)
-        K, P, fl = 3, 4, 8
-        xb = rng.normal(size=(2, 12))  # 2K=6, T=12
-        fpat = self.encode(xb, T=12, P=P, H=2, K=K, layers=1, frame_len=fl)["fpat"]
+        K, P, fl, T = 3, 4, 8, 12
+        xb = rng.normal(size=(2, T))  # 2K=6
+        model = CoopModel(CoopConfig(T=T, P=P, H=2, K=K, layers=1, frame_len=fl))
+        fpat = stft_features(model.stft_kernel, xb, P)
         assert fpat.shape == (3, 2, 24)
         for b in range(2):
-            spec = stft(xb[b], K=K, frame_len=fl)
             for j in range(3):  # patch index
-                expected = spec[:, P * j:P * (j + 1)].T.reshape(-1)
-                assert np.allclose(fpat[j, b], expected, atol=1e-12)
+                expected = np.concatenate([naive_frame_dft(xb[b], P * j + p, fl, K,
+                                                           np.ones(fl), T)
+                                           for p in range(P)])
+                assert np.allclose(fpat[j, b], expected, atol=1e-9)

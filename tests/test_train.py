@@ -54,6 +54,21 @@ class TestClipGrads:
         assert np.isclose(total, 6.5, atol=1e-12)
         assert np.isclose(g["a"][1] / g["a"][0], 4.0 / 3.0, atol=1e-12)
 
+    def test_overflowing_sum_of_squares_still_clips(self):
+        # squares of ~1e200 overflow to inf; the gradients are rescaled by
+        # their largest magnitude first, so they are clipped, not zeroed,
+        # and no RuntimeWarning is raised
+        rng = np.random.default_rng(3)
+        g = {"a": rng.normal(size=(4, 5)) * 1e200, "b": rng.normal(size=7) * 3e199}
+        before = {k: v.copy() for k, v in g.items()}
+        clip_grads(g, train.GRAD_CLIP)
+        top = max(np.abs(v).max() for v in g.values())
+        norm = top * np.sqrt(sum(((v / top) ** 2).sum() for v in g.values()))
+        assert abs(norm - train.GRAD_CLIP) <= 1e-12
+        scale = g["a"][0, 0] / before["a"][0, 0]
+        for k in g:  # one factor for every tensor
+            assert np.allclose(g[k], before[k] * scale, rtol=1e-12, atol=0)
+
 
 class TestTrainConfig:
     def test_validation(self):

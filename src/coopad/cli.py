@@ -5,9 +5,10 @@ number out of range, a NaN or infinite --lr or a NaN --distortion-prob,
 which `TrainConfig` rejects, a --freq-bins or --lam the model settings
 below reject, or --split given for a UCR file, whose name holds its split),
 3 data error (also a file that cannot be read or written, non-finite input
-values, a CSV label other than 0 or 1, a test region or bench series
-shorter than the window, a config.json that is not valid JSON, lacks a
-field, holds a bad value or a model key that is not a setting, a
+values, a CSV label other than 0 or 1, a constant train region, whose std
+is below 1e-8 (train writes no run directory), a test region or bench
+series shorter than the window, a config.json that is not valid JSON,
+lacks a field, holds a bad value or a model key that is not a setting, a
 model.ckpt that fails its CRC32 check, is format version 1 (retrain) or
 does not match config.json, or a scores CSV for eval that is not UTF-8,
 has a wrong header, a row that is not three numbers, a NaN or inf score or
@@ -21,7 +22,7 @@ The model settings are valid when T, P, H, K, layers and frame_len are
 integers >= 1, smooth_window is an integer >= 0, T is a multiple of P,
 frame_len is even and at most T, K is at most frame_len/2 + 1 and lam is a
 finite number >= 0; `CoopConfig` alone checks them. In config.json,
-norm_mean must also be a finite number, norm_std a finite number >= 0, and
+norm_mean must also be a finite number, norm_std a finite number >= 1e-8, and
 hard_threshold null or a finite number, and not null under hard masking.
 
 Every run directory is self-describing: config.json plus the seed are
@@ -45,8 +46,8 @@ import numpy as np
 
 from . import augment, metrics, score, synth
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .data import (DataError, NormalizationStats, estimate_period, load_csv,
-                   load_ucr, read_manifest, train_stats, zscore)
+from .data import (STD_FLOOR, DataError, NormalizationStats, estimate_period,
+                   load_csv, load_ucr, read_manifest, train_stats, zscore)
 from .model import (FUSIONS, GRANULARITIES, MASKINGS, SCORINGS, CoopConfig,
                     CoopModel)
 from .train import NumericError, TrainConfig, fit
@@ -185,8 +186,8 @@ def load_run(run_dir):
         config = CoopConfig.from_dict(run_cfg["model"])
         stats = NormalizationStats(_finite(run_cfg["data"]["norm_mean"], "norm_mean"),
                                    _finite(run_cfg["data"]["norm_std"], "norm_std"))
-        if stats.std < 0:  # zscore would flip the series' sign
-            raise ValueError(f"norm_std must be >= 0, not {stats.std!r}")
+        if stats.std < STD_FLOOR:  # train never writes one; zscore divides by it
+            raise ValueError(f"norm_std must be >= {STD_FLOOR:g}, not {stats.std!r}")
         split = run_cfg["data"].get("split")
         if split is not None and type(split) is not int:
             raise ValueError(f"split must be an integer, not {split!r}")
@@ -320,6 +321,7 @@ def cmd_inject(data_path, out_dir, test_kind, seed, split):
     click.echo(f"wrote {path} and {label_path}")
 
 
+BENCH_REPEATS = 3  # detect runs whose median bench reports
 BENCH_STEP_BATCHES = (16, 128)  # batch sizes of the timed training steps
 BENCH_STEP_PERIOD = 50  # T = 200, the acceptance fixture's window
 BENCH_WARMUP, BENCH_STEPS = 20, 50  # training steps run, then timed
@@ -359,9 +361,9 @@ def _train_step_rows(seed):
               help="Also time T = 200 training steps, and write the measurements "
                    "and the machine they ran on as JSON")
 def cmd_bench(points, period, seed, json_path):
-    """Measure detect throughput and peak memory on a generated series at
-    default config; with --json also the forward and backward time of a
-    training step."""
+    """Measure detect throughput (the median of BENCH_REPEATS runs) and peak
+    memory on a generated series at default config; with --json also the
+    forward and backward time of a training step."""
     if json_path is not None and not os.path.isdir(os.path.dirname(json_path) or "."):
         raise DataError(f"{json_path}: no such directory")
     values, _ = synth.gen_periodic(points, period, noise_std=0.05,
@@ -369,15 +371,21 @@ def cmd_bench(points, period, seed, json_path):
     config = CoopConfig.for_period(period)
     model = CoopModel(config, seed=seed)
     n_params = model.num_params()
-    t0 = time.perf_counter()
-    result = score.detect(values, model)
-    elapsed = time.perf_counter() - t0
-    throughput = len(result.scores) / elapsed
+    click.echo(f"points={points} T={config.T} params={n_params}")
+    runs = []
+    for i in range(BENCH_REPEATS):
+        t0 = time.perf_counter()
+        result = score.detect(values, model)
+        elapsed = time.perf_counter() - t0
+        runs.append({"elapsed_s": elapsed, "points_per_s": len(result.scores) / elapsed})
+        click.echo(f"run {i + 1}: elapsed={elapsed:.3f}s "
+                   f"throughput={runs[-1]['points_per_s']:,.0f} points/s")
+    elapsed = float(np.median([r["elapsed_s"] for r in runs]))
+    throughput = float(np.median([r["points_per_s"] for r in runs]))
     # peak resident memory of the process; Linux reports ru_maxrss in KiB
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
-    click.echo(f"points={points} T={config.T} params={n_params}")
-    click.echo(f"elapsed={elapsed:.3f}s throughput={throughput:,.0f} points/s "
-               f"peak_rss_mb={peak_rss_mb:.1f}")
+    click.echo(f"median of {BENCH_REPEATS}: elapsed={elapsed:.3f}s "
+               f"throughput={throughput:,.0f} points/s peak_rss_mb={peak_rss_mb:.1f}")
     if json_path is not None:
         steps = _train_step_rows(seed)
         for step in steps:
@@ -387,7 +395,8 @@ def cmd_bench(points, period, seed, json_path):
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         row = {"points": points, "period": period, "T": config.T, "params": n_params,
                "elapsed_s": elapsed, "points_per_s": throughput,
-               "peak_rss_mb": peak_rss_mb, "train_steps": steps, "nproc": os.cpu_count(),
+               "peak_rss_mb": peak_rss_mb, "runs": runs, "train_steps": steps,
+               "nproc": os.cpu_count(),
                "numpy": np.__version__, "blas": blas.get("name"),
                "blas_version": blas.get("version"), "blas_threads": _openblas_threads()}
         with open(json_path, "w") as f:

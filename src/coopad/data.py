@@ -44,6 +44,7 @@ class PeriodEstimate:
 
 
 _UCR_NAME = re.compile(r"_(\d+)_(\d+)_(\d+)\.(txt|csv|tsv|dat)$", re.IGNORECASE)
+STD_FLOOR = 1e-8  # least train std that normalises a series
 # size hint for one readlines() call in load_ucr: bounds the text and token
 # objects alive at once, which whole-file reading would hold for every line
 _CHUNK_BYTES = 1 << 18
@@ -161,17 +162,20 @@ def load_csv(path, split=None):
 
 
 def train_stats(series):
-    """Mean/std over the train region only."""
+    """Mean/std over the train region only. A std below STD_FLOOR (a
+    constant train region, which leaves nothing to normalise by) raises
+    DataError naming the series."""
     train = series.train
-    return NormalizationStats(mean=float(train.mean()), std=float(train.std()))
+    stats = NormalizationStats(mean=float(train.mean()), std=float(train.std()))
+    if stats.std < STD_FLOOR:
+        raise DataError(f"{series.name}: train region is constant (std {stats.std:.3g} "
+                        f"< {STD_FLOOR:g}); nothing to normalise by")
+    return stats
 
 
 def zscore(values, stats):
-    """(x - mean)/std; degenerate std (< 1e-8) maps everything to zero."""
-    values = np.asarray(values, dtype=np.float64)
-    if stats.std < 1e-8:
-        return np.zeros_like(values)
-    return (values - stats.mean) / stats.std
+    """(x - mean)/std."""
+    return (np.asarray(values, dtype=np.float64) - stats.mean) / stats.std
 
 
 def estimate_period(train_values):

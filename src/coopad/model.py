@@ -185,7 +185,8 @@ def mask_coefficients(fused_probs, config, rng=None, threshold=None):
 
 
 class CoopModel:
-    """Holds all learnable tensors and implements forward/backward."""
+    """Holds all learnable tensors and implements forward/backward. The GRU
+    entries of `tensors` are views of the weights each `GruStack` owns."""
 
     def __init__(self, config: CoopConfig, seed=0):
         self.config = config
@@ -198,12 +199,10 @@ class CoopModel:
         t["w_freq_patch"] = uniform_init(rng, c.H, fdim)
         t["w_mask_proj"] = uniform_init(rng, c.H, c.P)
         t["e_mask"] = uniform_init(rng, c.H, c.N, fan_in=c.H)
-        self.gru_time = GruStack(c.H, c.layers, rng)
-        self.gru_freq = GruStack(c.H, c.layers, rng)
-        self.gru_recon = GruStack(c.H, c.layers, rng)
-        t.update(self.gru_time.tensors("gru_time"))
-        t.update(self.gru_freq.tensors("gru_freq"))
-        t.update(self.gru_recon.tensors("gru_recon"))
+        self.gru_time = GruStack(c.H, c.layers, rng, "gru_time")
+        self.gru_freq = GruStack(c.H, c.layers, rng, "gru_freq")
+        self.gru_recon = GruStack(c.H, c.layers, rng, "gru_recon")
+        self._add_stack_tensors()
         t["head_time"] = uniform_init(rng, 1, c.H)
         t["head_freq"] = uniform_init(rng, 1, c.H)
         t["head_resid"] = uniform_init(rng, 1, c.H)
@@ -216,6 +215,16 @@ class CoopModel:
             t["b_gate"] = np.zeros(c.H)
         self.stft_kernel = spectral.stft_patch_kernel(c.P, c.frame_len, c.K)
         self.hard_threshold = None  # calibrated during training
+
+    def _add_stack_tensors(self):
+        for stack in (self.gru_time, self.gru_freq, self.gru_recon):
+            self.tensors.update(stack.tensors())  # a name there keeps its place
+
+    def __setstate__(self, state):
+        # a copy's GRU tensors must view its own stacks' weights: a copied
+        # view is an array of its own, which in-place updates would miss
+        self.__dict__.update(state)
+        self._add_stack_tensors()
 
     @functools.cached_property
     def stft_mat(self):
@@ -447,8 +456,7 @@ class CoopModel:
         d_xrp = d_xr.reshape(B, n, p).transpose(1, 0, 2)
         grads["w_out"] += np.einsum("nbp,nbh->ph", d_xrp, cache["r_out"])
         d_rout = d_xrp @ t["w_out"]
-        d_em, g_list = self.gru_recon.backward(cache["cache_r"], d_rout)
-        self._add_stack_grads(grads, g_list, "gru_recon")
+        d_em = self.gru_recon.backward(cache["cache_r"], d_rout, grads)
 
         # soft-mask blend
         coeff = cache["coeff"]
@@ -492,25 +500,17 @@ class CoopModel:
         """Backward of _encode: accumulates encoder gradients into grads and
         returns the gradients w.r.t. the projected inputs (du_t, du_f)."""
         t = self.tensors
-        du_t, g_list = self.gru_time.backward(enc["gru_t"], d_h_t)
-        self._add_stack_grads(grads, g_list, "gru_time")
+        du_t = self.gru_time.backward(enc["gru_t"], d_h_t, grads)
         grads["w_time_patch"] += np.einsum("nbh,nbp->hp", du_t, enc["patches"])
-        du_f, g_list = self.gru_freq.backward(enc["gru_f"], d_h_f)
-        self._add_stack_grads(grads, g_list, "gru_freq")
+        du_f = self.gru_freq.backward(enc["gru_f"], d_h_f, grads)
         fpat = spectral.stft_features(self.stft_kernel, enc["x"], self.config.P)
         grads["w_freq_patch"] += np.einsum("nbh,nbf->hf", du_f, fpat)
         return du_t, du_f
 
-    @staticmethod
-    def _add_stack_grads(grads, g_list, prefix):
-        for i, g in enumerate(g_list):
-            for k, v in g.items():
-                grads[f"{prefix}.l{i}.{k}"] += v
-
     # -- persistence ------------------------------------------------------
 
     def load_tensors(self, tensors):
-        """Copy loaded values into the live tensors.
+        """Copy loaded values into the live tensors, in place.
 
         The names must match exactly (KeyError otherwise) and each shape must
         equal the live one, except that a 1-D tensor may arrive as the (1, n)

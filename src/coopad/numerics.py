@@ -14,10 +14,18 @@ instead of L * T layer steps. One stacked matmul applies every lane's
 ufunc advances all lanes. Each lane's operands are the ones the per-layer
 loop gives that layer at that step, and every operation keeps the operands
 and order of the plain expressions (gx = x @ wx.T + bx, ..., h = (1 - z)
-* n + z * h), so outputs, caches and gradients have the same bytes. The
-weights are stacked per lane and used as transposed views, as the
-per-layer loop used wx.T: a contiguous copy of the transpose takes
+* n + z * h), so outputs, caches and gradients have the same bytes.
+
+A stack owns its weights stacked per lane: w (layers, 2, 3H, H) holds
+each layer's (wx, wh), drawn in one call in the order of per-layer draws,
+and b (layers, 2, 3H) its (bx, bh). The forward uses w as transposed views,
+as a per-layer loop uses wx.T: a contiguous copy of the transpose takes
 another BLAS path and, on a one-row batch (gemv), rounds differently.
+Per layer, `GruStack.layers` holds views of w and b keyed wx, wh, bx and
+bh, and `GruStack.tensors` names them ``<stack>.l<i>.<key>``, the one place
+those names are made: the model collects its tensors from it, and the
+backward adds each layer's gradients into the model's gradient dict under
+the same names.
 
 A training forward keeps its states in one buffer, each layer's inputs
 and states contiguous with a zero initial state in front, and writes them
@@ -43,17 +51,12 @@ differently from the gemm of any wider batch (up to 3e-7 on one (1, 24) @
 (24, 72) product), so a one-row inference batch runs as two rows and keeps
 the first.
 
-On a 2-vCPU VM (NumPy 2.4, OpenBLAS 0.3.31) the wavefront took the
-forward of a whole T = 200 training step (five 3-layer H = 24 stacks and
-the rest of the model) at batch 16 from 11.4 to 8.0 ms and its backward
-from 10.9 to 10.1 ms; at batch 128 the forward went 46.4 to 37.7 ms and
-the backward stayed at ~53 ms (`coopad bench --json` rows, medians of 50
-steps, alternating processes). Per wave step the lanes share one call per
-operation, which pays at small batches, where calls cost more than the
-arithmetic. Matmuls after the backward loop stay stacked over steps, so
-NumPy runs one small BLAS product per step, which stays single-threaded;
-one product over all steps x batch rows is split across BLAS threads and
-took 7-8 ms instead of 0.5 ms whenever the second thread had gone idle.
+Per wave step the lanes share one call per operation, which pays at small
+batches, where calls cost more than the arithmetic. Matmuls after the
+backward loop stay stacked over steps, so NumPy runs one small BLAS
+product per step, which stays single-threaded; one product over all steps
+x batch rows is split across BLAS threads and is many times slower
+whenever the second thread has gone idle.
 """
 
 from __future__ import annotations
@@ -90,35 +93,30 @@ def uniform_init(rng, rows, cols, fan_in=None):
     return rng.uniform(-bound, bound, size=(rows, cols))
 
 
-class GruLayerParams:
-    """One GRU layer: stacked (z, r, n) input/hidden weights and biases,
-    input and hidden size both `hidden`."""
+class GruStack:
+    """Stack of GRU layers whose inputs and states all have size hidden,
+    owning its weights w and b; `name` prefixes its tensor names."""
 
-    def __init__(self, hidden, rng):
-        self.hidden = hidden
-        self.wx = uniform_init(rng, 3 * hidden, hidden)
-        self.wh = uniform_init(rng, 3 * hidden, hidden)
-        self.bx = np.zeros(3 * hidden)
-        self.bh = np.zeros(3 * hidden)
+    def __init__(self, hidden, layers, rng, name):
+        bound = 1.0 / np.sqrt(hidden)
+        # one draw in the order of per-layer (wx, wh) draws, with their bytes
+        self.w = rng.uniform(-bound, bound, size=(layers, 2, 3 * hidden, hidden))
+        self.b = np.zeros((layers, 2, 3 * hidden))
+        self.hidden, self.name = hidden, name
+
+    @property
+    def layers(self):
+        """Per layer a dict of views of w and b keyed wx, wh, bx and bh."""
+        return [{"wx": w[0], "wh": w[1], "bx": b[0], "bh": b[1]}
+                for w, b in zip(self.w, self.b)]
+
+    def _key(self, layer, k):
+        return f"{self.name}.l{layer}.{k}"
 
     def tensors(self):
-        return {"wx": self.wx, "wh": self.wh, "bx": self.bx, "bh": self.bh}
-
-
-class GruStack:
-    """Stack of GRU layers whose inputs and states all have size hidden."""
-
-    def __init__(self, hidden, layers, rng):
-        self.layers = [GruLayerParams(hidden, rng) for _ in range(layers)]
-        self.hidden = hidden
-
-    def _weights(self, name, dtype):
-        """One layer tensor stacked over the layers, in dtype: (L, 3H, H)
-        for a weight, (L, 1, 3H) for a bias."""
-        stacked = np.stack([layer.tensors()[name] for layer in self.layers])
-        if stacked.ndim == 2:
-            stacked = stacked[:, None, :]
-        return stacked.astype(dtype, copy=False)
+        """Every layer's views by name, layer by layer, keys in order."""
+        return {self._key(i, k): v for i, layer in enumerate(self.layers)
+                for k, v in layer.items()}
 
     def forward(self, inputs, keep_cache=True):
         """Run the stack over inputs (steps, batch, hidden).
@@ -136,18 +134,16 @@ class GruStack:
             raise ValueError("sequence length must be >= 1")
         if hdim != self.hidden:
             raise ValueError(f"input dim {hdim} != hidden {self.hidden}")
-        layers = len(self.layers)
+        layers = len(self.w)
         dtype = np.float64 if keep_cache else np.float32
         # BLAS takes a one-row product through gemv, which rounds differently
         # from the gemm every wider batch gets
         rows = 2 if not keep_cache and batch == 1 else batch
         waves = steps + layers - 1
         # per lane the pair (wx.T, wh.T) as transposed views, and the biases
-        # (bx, bh) broadcast to the batch
-        w = np.stack([self._weights("wx", dtype), self._weights("wh", dtype)], axis=1)
-        w = w.transpose(0, 1, 3, 2)
-        b = np.stack([self._weights("bx", dtype), self._weights("bh", dtype)], axis=1)
-        b = np.repeat(b, rows, axis=2)
+        # (bx, bh) repeated over the batch, as a broadcast add is slower
+        w = self.w.astype(dtype, copy=False).transpose(0, 1, 3, 2)
+        b = np.repeat(self.b.astype(dtype, copy=False)[:, :, None], rows, axis=2)
         g = np.empty((layers, 2, rows, 3 * hdim), dtype)
         zr_tmp = np.empty((layers, 2, rows, hdim), dtype)
         blend = np.empty((layers, rows, hdim), dtype)
@@ -210,21 +206,21 @@ class GruStack:
             wave, zr_w, n_w, ghn_w)
         return cache[-1]["h"], cache
 
-    def backward(self, cache, grad_outputs):
+    def backward(self, cache, grad_outputs, grads):
         """Backprop through time for the whole stack.
 
         grad_outputs matches the forward outputs (steps, batch, hidden).
-        Returns (grad_inputs, grads) where grads is a list of per-layer
-        dicts keyed like GruLayerParams.tensors().
+        Adds each layer's weight and bias gradients into grads under the
+        names `tensors` gives and returns the input gradients.
         """
-        layers = len(self.layers)
+        layers = len(self.w)
         if len(cache) != layers:
             raise ValueError("cache depth does not match layer count")
         d = np.asarray(grad_outputs, dtype=np.float64)
         steps, batch, hdim = cache[0]["inputs"].shape
         if d.shape != (steps, batch, hdim):
             raise ValueError("grad_outputs shape does not match cached forward")
-        wx, wh = self._weights("wx", np.float64), self._weights("wh", np.float64)
+        wx, wh = self.w[:, 0], self.w[:, 1]
         # the input-gate gradients of every layer and step, contiguous per
         # layer for the reductions after the loop, and their wave view
         dgx_l = np.empty((layers * steps, batch, 3 * hdim))
@@ -273,7 +269,6 @@ class GruStack:
             dh_prev += np.matmul(dg_h, wh[lo:hi], out=n_n)  # the lanes' next dh_next
             if lo == 0:
                 dx[s] = d_up[0]
-        grads = []
         for l, lc in enumerate(cache):
             dg = dgx_l[l * steps:(l + 1) * steps]
             dwx = np.matmul(dg.transpose(0, 2, 1), lc["inputs"]).sum(axis=0)
@@ -281,15 +276,10 @@ class GruStack:
             dg[..., 2 * hdim:] *= lc["r"]  # dgx becomes dgh: dn_pre * r
             # h[t-1] is zero at t = 0, so the first step adds nothing to dwh
             dwh = np.matmul(dg[1:].transpose(0, 2, 1), lc["h"][:-1]).sum(axis=0)
-            grads.append({"wx": dwx, "wh": dwh, "bx": dbx, "bh": dg.sum(axis=(0, 1))})
-        return dx, grads
-
-    def tensors(self, prefix):
-        out = {}
-        for i, layer in enumerate(self.layers):
-            for k, v in layer.tensors().items():
-                out[f"{prefix}.l{i}.{k}"] = v
-        return out
+            dbh = dg.sum(axis=(0, 1))
+            for k, g in (("wx", dwx), ("wh", dwh), ("bx", dbx), ("bh", dbh)):
+                grads[self._key(l, k)] += g
+        return dx
 
 
 class StackCache(list):

@@ -24,6 +24,9 @@ def gen_periodic(length, period, noise_std, anomalies, seed):
     return values, labels
 
 
+WRITE_BLOCK = 8192  # values write_ucr_file formats at a time
+
+
 DEFAULT_ANOMALIES = (
     ("uniform_replacement", 11200, 11239),
     ("mirror_flip", 13000, 13044),
@@ -47,7 +50,8 @@ def write_ucr_file(out_dir, series, stem="synthetic"):
     """Emit the series under the UCR filename convention so the standard
     loader consumes it. The filename holds one anomaly range, from the first
     labeled point to the last (any gaps between labeled ranges included), or
-    [split, split] when no point is labeled."""
+    [split, split] when no point is labeled. Values are written "%.12g" a
+    line, WRITE_BLOCK lines by one % over a tuple of Python floats."""
     ones = np.nonzero(series.labels)[0] if series.labels is not None else []
     if len(ones) == 0:
         start = end = series.split  # degenerate: no anomaly
@@ -55,7 +59,9 @@ def write_ucr_file(out_dir, series, stem="synthetic"):
         start, end = int(ones[0]), int(ones[-1])
     fname = f"{stem}_{series.split}_{start}_{end}.txt"
     path = os.path.join(out_dir, fname)
+    values = series.values
     with open(path, "w") as f:
-        for v in series.values:
-            f.write("%.12g\n" % v)
+        for a in range(0, len(values), WRITE_BLOCK):
+            block = values[a:a + WRITE_BLOCK].tolist()
+            f.write("%.12g\n" * len(block) % tuple(block))
     return path

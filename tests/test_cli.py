@@ -364,6 +364,25 @@ class TestShortTestRegion:
         assert not out.exists()
 
 
+class TestConstantTrainRegion:
+    def test_train_exits_3_and_writes_no_run(self, tmp_path):
+        # 3,000 points, the train region all 5.0, a +4 spike at 2000-2039:
+        # with the train std at 0 there is nothing to normalise by
+        values = np.full(3000, 5.0)
+        values[2000:2040] += 4.0
+        labels = np.zeros(3000, dtype=np.int8)
+        labels[2000:2040] = 1
+        series = RawSeries(values=values, name="flat", split=1000, labels=labels)
+        path = write_ucr_file(str(tmp_path), series, stem="flat")
+        out = tmp_path / "run"
+        r = CliRunner().invoke(main, ["train", "--data", path, "--out", str(out),
+                                      "--epochs", "1"])
+        assert r.exit_code == 3, r.output
+        assert "error: flat_1000_2000_2039.txt: train region is constant" in r.output
+        assert "Traceback" not in r.output
+        assert not out.exists()
+
+
 class TestNonFiniteData:
     def test_nan_in_test_region(self, dataset, run_dir, tmp_path):
         lines = Path(dataset["path"]).read_text().splitlines()
@@ -459,6 +478,14 @@ class TestBench:
         assert f"params={row['params']}" in r.output
         assert f"throughput={row['points_per_s']:,.0f} points/s" in r.output
         assert f"peak_rss_mb={row['peak_rss_mb']:.1f}" in r.output
+        # detect runs BENCH_REPEATS times; the row holds each run and their medians
+        assert len(row["runs"]) == cli.BENCH_REPEATS == 3
+        for i, run in enumerate(row["runs"], start=1):
+            assert run["elapsed_s"] > 0
+            assert (f"run {i}: elapsed={run['elapsed_s']:.3f}s "
+                    f"throughput={run['points_per_s']:,.0f} points/s") in r.output
+        for key in ("elapsed_s", "points_per_s"):
+            assert row[key] == sorted(run[key] for run in row["runs"])[1]
         assert row["nproc"] >= 1 and row["numpy"] == np.__version__
         assert isinstance(row["blas"], str) and isinstance(row["blas_version"], str)
         assert row["blas_threads"] is None or row["blas_threads"] >= 1

@@ -120,11 +120,14 @@ def test_unedited_run_scores(run):
     assert wrote
 
 
-def test_zero_norm_std_scores(run):
-    # train writes 0 for a constant train region; zscore maps the test region to zeros
-    r, wrote = detect_with(run, set_field("data", "norm_std", 0))
-    assert r.exit_code == 0, r.output
-    assert wrote
+@pytest.mark.parametrize("norm_std", [0, 1e-9])
+def test_norm_std_below_floor_exits_3(run, norm_std):
+    # train refuses a constant train region, so no run holds such a std
+    r, wrote = detect_with(run, set_field("data", "norm_std", norm_std))
+    assert r.exit_code == 3, r.output
+    assert re.search(r"^error: .*config\.json: norm_std must be >= 1e-08", r.output, re.M), \
+        r.output
+    assert not wrote
 
 
 @pytest.mark.parametrize("norm_mean", [1e300, -1e300, 1e308])

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopad.data import (_CHUNK_BYTES, DataError, NormalizationStats,
-                         estimate_period, load_csv, load_ucr, make_windows,
-                         read_manifest, train_stats, window_origins, zscore)
+from coopad.data import (_CHUNK_BYTES, STD_FLOOR, DataError, NormalizationStats,
+                         RawSeries, estimate_period, load_csv, load_ucr,
+                         make_windows, read_manifest, train_stats, window_origins,
+                         zscore)
 
 
 def oracle_load_ucr_values(path):
@@ -208,9 +209,16 @@ class TestNormalization:
         assert abs(z.mean()) < 1e-12 and abs(z.std() - 1.0) < 1e-12
 
     def test_degenerate_std(self):
-        stats = NormalizationStats(mean=4.0, std=0.0)
-        z = zscore(np.array([4.0, 4.0]), stats)
-        assert z.tolist() == [0.0, 0.0]
+        # a train std below STD_FLOOR leaves nothing to normalise by
+        for train, ok in (([4.0] * 10, False), ([4.0, 4.0 + 1e-9], False),
+                          ([4.0, 4.0 + 4e-8], True)):
+            series = RawSeries(values=np.array(train + [9.0]), name="flat.txt",
+                               split=len(train))
+            if ok:
+                assert train_stats(series).std >= STD_FLOOR
+                continue
+            with pytest.raises(DataError, match=r"^flat\.txt: train region is constant"):
+                train_stats(series)
 
 
 class TestPeriodEstimation:

@@ -1,4 +1,7 @@
+import copy
+import hashlib
 import json
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -258,6 +261,43 @@ class TestParamsAndPersistence:
             + c.P * c.H            # w_out
         )
         assert m.num_params() == expected
+
+    # SHA-256 over every tensor's name and bytes, in dict order, of a seed-0
+    # model: the draws depend on the generator only, not on BLAS, so these
+    # pin the order in which construction draws its tensors
+    @pytest.mark.parametrize("overrides, count, digest", [
+        ({}, 44, "25efb5c81657917e985a28cd7139b99e2cfa0ad91961c778d06133573a51a3d5"),
+        ({"fusion": "feat_gate", "granularity": "step"}, 48,
+         "5c3c7dff2723fc1f453baf621660e4ab40544f1c395db73c5aa28480049d6d12"),
+    ], ids=["default", "feat_gate_step"])
+    def test_initial_tensors_golden(self, overrides, count, digest):
+        m = CoopModel(CoopConfig.for_period(50, **overrides), seed=0)
+        h = hashlib.sha256()
+        for name, v in m.tensors.items():
+            h.update(name.encode())
+            h.update(v.tobytes())
+        assert len(m.tensors) == count
+        assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
+                             ids=["deepcopy", "pickle"])
+    def test_copy_updates_reach_its_own_stacks(self, clone):
+        # the GRU tensors are views of each stack's weights; a copy's must
+        # be views of the copy's, or in-place updates (Adam) would miss them
+        m = small_model(seed=3)
+        before = {k: v.copy() for k, v in m.tensors.items()}
+        c = clone(m)
+        assert list(c.tensors) == list(m.tensors)
+        for v in c.tensors.values():
+            v += 1.0
+        for stack, orig in ((c.gru_time, m.gru_time), (c.gru_freq, m.gru_freq),
+                            (c.gru_recon, m.gru_recon)):
+            assert np.array_equal(stack.w, orig.w + 1.0)
+            assert np.array_equal(stack.b, orig.b + 1.0)
+            for name, v in stack.tensors().items():
+                assert np.array_equal(v, c.tensors[name])
+        for k, v in m.tensors.items():
+            assert np.array_equal(v, before[k])
 
     def test_checkpoint_round_trip_preserves_forward(self, tmp_path):
         m = small_model(seed=9)

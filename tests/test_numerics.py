@@ -42,15 +42,15 @@ class TestNonlinearities:
 def scalar_gru_reference(layer, inputs):
     """Per-gate scalar recurrence, no vectorization."""
     steps, batch, in_dim = inputs.shape
-    hdim = layer.hidden
+    hdim = layer["wh"].shape[1]
     out = np.zeros((steps, batch, hdim))
     for b in range(batch):
         h = [0.0] * hdim
         for t in range(steps):
-            gx = [sum(layer.wx[i, k] * inputs[t, b, k] for k in range(in_dim))
-                  + layer.bx[i] for i in range(3 * hdim)]
-            gh = [sum(layer.wh[i, k] * h[k] for k in range(hdim))
-                  + layer.bh[i] for i in range(3 * hdim)]
+            gx = [sum(layer["wx"][i, k] * inputs[t, b, k] for k in range(in_dim))
+                  + layer["bx"][i] for i in range(3 * hdim)]
+            gh = [sum(layer["wh"][i, k] * h[k] for k in range(hdim))
+                  + layer["bh"][i] for i in range(3 * hdim)]
             newh = []
             for i in range(hdim):
                 z = 1 / (1 + np.exp(-(gx[i] + gh[i])))
@@ -62,11 +62,43 @@ def scalar_gru_reference(layer, inputs):
     return out
 
 
+def stack_backward(stack, cache, grad_outputs):
+    """stack.backward with the gradients added into zeros, returned as
+    (input gradients, one dict per layer keyed wx, wh, bx, bh)."""
+    grads = {k: np.zeros_like(v) for k, v in stack.tensors().items()}
+    dx = stack.backward(cache, grad_outputs, grads)
+    return dx, [{k: grads[f"{stack.name}.l{i}.{k}"] for k in layer}
+                for i, layer in enumerate(stack.layers)]
+
+
+class TestGruLayout:
+    def test_tensors_are_named_views_of_the_stacked_weights(self):
+        stack = GruStack(3, layers=2, rng=np.random.default_rng(0), name="s")
+        t = stack.tensors()
+        assert list(t) == [f"s.l{i}.{k}" for i in range(2) for k in ("wx", "wh", "bx", "bh")]
+        assert t["s.l1.wh"].shape == (9, 3) and t["s.l1.bh"].shape == (9,)
+        t["s.l1.wh"][...] = 7.0
+        t["s.l0.bx"][...] = -1.0
+        assert np.all(stack.w[1, 1] == 7.0) and np.all(stack.b[0, 0] == -1.0)
+
+    def test_one_draw_equals_per_layer_draws(self):
+        # the stacked draw gives the bytes, and leaves the generator in the
+        # state, of drawing each layer's wx then wh in turn
+        rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+        stack = GruStack(5, layers=3, rng=rng, name="s")
+        bound = 1.0 / np.sqrt(5)
+        for layer in stack.layers:
+            for k in ("wx", "wh"):
+                assert layer[k].tobytes() == ref.uniform(-bound, bound, size=(15, 5)).tobytes()
+            assert not layer["bx"].any() and not layer["bh"].any()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 class TestGruForward:
     def test_zero_weights_zero_output(self):
-        stack = GruStack(3, layers=2, rng=np.random.default_rng(1))
+        stack = GruStack(3, layers=2, rng=np.random.default_rng(1), name="gru")
         for layer in stack.layers:
-            for v in layer.tensors().values():
+            for v in layer.values():
                 v[...] = 0.0
         x = np.random.default_rng(2).normal(size=(5, 2, 3))
         out, _ = stack.forward(x)
@@ -74,7 +106,7 @@ class TestGruForward:
 
     def test_length_one_is_single_step(self):
         rng = np.random.default_rng(3)
-        stack = GruStack(3, layers=1, rng=rng)
+        stack = GruStack(3, layers=1, rng=rng, name="gru")
         x = np.random.default_rng(4).normal(size=(1, 1, 3))
         out, _ = stack.forward(x)
         ref = scalar_gru_reference(stack.layers[0], x)
@@ -82,7 +114,7 @@ class TestGruForward:
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(5)
-        stack = GruStack(4, layers=1, rng=rng)
+        stack = GruStack(4, layers=1, rng=rng, name="gru")
         x = np.random.default_rng(6).normal(size=(7, 2, 4))
         out, _ = stack.forward(x)
         ref = scalar_gru_reference(stack.layers[0], x)
@@ -92,14 +124,14 @@ class TestGruForward:
         # zero initial state is in (-1,1); every new state is a convex blend
         # of a tanh value and the previous state
         rng = np.random.default_rng(7)
-        stack = GruStack(5, layers=3, rng=rng)
+        stack = GruStack(5, layers=3, rng=rng, name="gru")
         x = np.random.default_rng(8).uniform(-10, 10, size=(50, 4, 5))
         out, _ = stack.forward(x)
         assert np.all(np.abs(out) < 1.0)
         assert np.all(np.isfinite(out))
 
     def test_shape_errors(self):
-        stack = GruStack(3, layers=1, rng=np.random.default_rng(0))
+        stack = GruStack(3, layers=1, rng=np.random.default_rng(0), name="gru")
         with pytest.raises(ValueError):
             stack.forward(np.zeros((4, 2, 5)))
 
@@ -107,7 +139,7 @@ class TestGruForward:
         # a training pass gives the float64 plain loop's bytes, an inference
         # pass the float32 plain loop's, returned as float64
         rng = np.random.default_rng(15)
-        stack = GruStack(5, layers=3, rng=rng)
+        stack = GruStack(5, layers=3, rng=rng, name="gru")
         x = np.random.default_rng(16).normal(size=(9, 4, 5))
         cached, cache = stack.forward(x)
         out, none = stack.forward(x, keep_cache=False)
@@ -123,11 +155,8 @@ def per_step_gru_backward(layer, cache, grad_outputs):
     inside the time loop, one step at a time."""
     inputs = cache["inputs"]
     steps, batch, _ = inputs.shape
-    hdim = layer.hidden
-    dwx = np.zeros_like(layer.wx)
-    dwh = np.zeros_like(layer.wh)
-    dbx = np.zeros_like(layer.bx)
-    dbh = np.zeros_like(layer.bh)
+    hdim = layer["wh"].shape[1]
+    dwx, dwh, dbx, dbh = (np.zeros_like(layer[k]) for k in ("wx", "wh", "bx", "bh"))
     dinputs = np.empty_like(inputs)
     dh_next = np.zeros((batch, hdim))
     h0 = np.zeros((batch, hdim))
@@ -150,8 +179,8 @@ def per_step_gru_backward(layer, cache, grad_outputs):
         dwh += dgh.T @ hprev
         dbx += dgx.sum(axis=0)
         dbh += dgh.sum(axis=0)
-        dinputs[t] = dgx @ layer.wx
-        dh_next = dh_prev + dgh @ layer.wh
+        dinputs[t] = dgx @ layer["wx"]
+        dh_next = dh_prev + dgh @ layer["wh"]
     return dinputs, {"wx": dwx, "wh": dwh, "bx": dbx, "bh": dbh}
 
 
@@ -159,14 +188,14 @@ class TestGruBackward:
     @pytest.mark.parametrize("steps, batch", [(1, 3), (2, 1), (30, 5)])
     def test_matches_per_step_oracle(self, steps, batch):
         rng = np.random.default_rng(17)
-        stack = GruStack(6, layers=2, rng=rng)
+        stack = GruStack(6, layers=2, rng=rng, name="gru")
         for layer in stack.layers:
-            layer.bx[:] = rng.normal(size=layer.bx.shape)
-            layer.bh[:] = rng.normal(size=layer.bh.shape)
+            layer["bx"][:] = rng.normal(size=layer["bx"].shape)
+            layer["bh"][:] = rng.normal(size=layer["bh"].shape)
         x = np.random.default_rng(18).normal(size=(steps, batch, 6))
         out, cache = stack.forward(x)
         d_out = np.random.default_rng(19).normal(size=out.shape)
-        dx, grads = stack.backward(cache, d_out)
+        dx, grads = stack_backward(stack, cache, d_out)
         d = d_out
         for i in range(1, -1, -1):
             d, ref = per_step_gru_backward(stack.layers[i], cache[i], d)
@@ -178,10 +207,10 @@ class TestGruBackward:
 
     def test_zero_upstream_zero_grads(self):
         rng = np.random.default_rng(9)
-        stack = GruStack(3, layers=2, rng=rng)
+        stack = GruStack(3, layers=2, rng=rng, name="gru")
         x = np.random.default_rng(10).normal(size=(4, 2, 3))
         out, cache = stack.forward(x)
-        dx, grads = stack.backward(cache, np.zeros_like(out))
+        dx, grads = stack_backward(stack, cache, np.zeros_like(out))
         assert np.array_equal(dx, np.zeros_like(dx))
         for g in grads:
             for v in g.values():
@@ -190,12 +219,12 @@ class TestGruBackward:
     def test_single_step_single_unit_chain_rule(self):
         # H=1, one step: dL/dh with L = h; compare to symbolic derivative
         rng = np.random.default_rng(11)
-        stack = GruStack(1, layers=1, rng=rng)
+        stack = GruStack(1, layers=1, rng=rng, name="gru")
         layer = stack.layers[0]
         x = np.array([[[0.7]]])
         out, cache = stack.forward(x)
-        dx, grads = stack.backward(cache, np.ones_like(out))
-        wxz, wxr, wxn = layer.wx[:, 0]
+        dx, grads = stack_backward(stack, cache, np.ones_like(out))
+        wxz, wxr, wxn = layer["wx"][:, 0]
         z = 1 / (1 + np.exp(-wxz * 0.7))
         r = 1 / (1 + np.exp(-wxr * 0.7))
         n = np.tanh(wxn * 0.7)  # h0 = 0, so gh terms vanish
@@ -210,7 +239,7 @@ class TestGruBackward:
 
     def test_finite_difference(self):
         rng = np.random.default_rng(12)
-        stack = GruStack(3, layers=2, rng=rng)
+        stack = GruStack(3, layers=2, rng=rng, name="gru")
         x = np.random.default_rng(13).normal(size=(5, 2, 3))
         target = np.random.default_rng(14).normal(size=(5, 2, 3))
 
@@ -219,24 +248,17 @@ class TestGruBackward:
             return float(((out - target) ** 2).sum())
 
         out, cache = stack.forward(x)
-        _, grads = stack.backward(cache, 2.0 * (out - target))
-        flat = {}
-        for i, g in enumerate(grads):
-            for k, v in g.items():
-                flat[f"l{i}.{k}"] = v
-        params = {}
-        for i, layer in enumerate(stack.layers):
-            for k, v in layer.tensors().items():
-                params[f"l{i}.{k}"] = v
-        report = grad_check(loss, params, flat)
+        grads = {k: np.zeros_like(v) for k, v in stack.tensors().items()}
+        stack.backward(cache, 2.0 * (out - target), grads)
+        report = grad_check(loss, stack.tensors(), grads)
         assert max(report.values()) < 1e-4
 
     def test_cache_mismatch(self):
-        stack = GruStack(3, layers=1, rng=np.random.default_rng(0))
+        stack = GruStack(3, layers=1, rng=np.random.default_rng(0), name="gru")
         x = np.zeros((4, 1, 3))
         _, cache = stack.forward(x)
         with pytest.raises(ValueError):
-            stack.backward(cache, np.zeros((3, 1, 3)))
+            stack_backward(stack, cache, np.zeros((3, 1, 3)))
 
 
 def oracle_sigmoid(x):
@@ -248,9 +270,9 @@ def oracle_gru_layer_forward(layer, inputs):
     """The step loop in plain expressions, one fresh temporary each, in the
     dtype of inputs (the weights are cast to it)."""
     steps, batch, _ = inputs.shape
-    hdim = layer.hidden
+    hdim = layer["wh"].shape[1]
     dtype = inputs.dtype
-    wx, wh, bx, bh = (layer.tensors()[k].astype(dtype) for k in ("wx", "wh", "bx", "bh"))
+    wx, wh, bx, bh = (layer[k].astype(dtype) for k in ("wx", "wh", "bx", "bh"))
     h = np.zeros((batch, hdim), dtype)
     hs = np.empty((steps, batch, hdim), dtype)
     zs, rs, ns, ghns = (np.empty((steps, batch, hdim), dtype) for _ in range(4))
@@ -284,7 +306,7 @@ def oracle_gru_layer_backward(layer, cache, grad_outputs):
     """Backward with its gate-gradient buffers allocated per layer."""
     inputs = cache["inputs"]
     steps, batch, _ = inputs.shape
-    hdim = layer.hidden
+    hdim = layer["wh"].shape[1]
     dgx = np.empty((steps, batch, 3 * hdim))
     dgh = np.empty((steps, batch, 3 * hdim))
     dh_next = np.zeros((batch, hdim))
@@ -304,13 +326,13 @@ def oracle_gru_layer_backward(layer, cache, grad_outputs):
         dg[:, hdim:2 * hdim] = dr * r * (1.0 - r)
         dg[:, 2 * hdim:] = dn_pre * r
         dgx[t, :, 2 * hdim:] = dn_pre
-        dh_next = dh_prev + dg @ layer.wh
+        dh_next = dh_prev + dg @ layer["wh"]
     dgx[:, :, :2 * hdim] = dgh[:, :, :2 * hdim]
     dwx = np.matmul(dgx.transpose(0, 2, 1), inputs).sum(axis=0)
     dwh = np.matmul(dgh[1:].transpose(0, 2, 1), cache["h"][:-1]).sum(axis=0)
     grads = {"wx": dwx, "wh": dwh,
              "bx": dgx.sum(axis=(0, 1)), "bh": dgh.sum(axis=(0, 1))}
-    return dgx @ layer.wx, grads
+    return dgx @ layer["wx"], grads
 
 
 # Largest |float32 inference - float64 training| output of a stack fed
@@ -344,10 +366,10 @@ class TestGruWorkspaceBytes:
     @staticmethod
     def check(steps, batch, hdim, scale, layers):
         rng = np.random.default_rng(steps * 1000 + batch + 100 * layers)
-        stack = GruStack(hdim, layers=layers, rng=rng)
+        stack = GruStack(hdim, layers=layers, rng=rng, name="gru")
         for layer in stack.layers:
-            layer.bx[:] = rng.normal(size=layer.bx.shape)
-            layer.bh[:] = rng.normal(size=layer.bh.shape)
+            layer["bx"][:] = rng.normal(size=layer["bx"].shape)
+            layer["bh"][:] = rng.normal(size=layer["bh"].shape)
         # scale 800 saturates the gates: exp(-|x|) underflows to zero
         x = scale * rng.normal(size=(steps, batch, hdim))
         out, cache = stack.forward(x)
@@ -366,7 +388,7 @@ class TestGruWorkspaceBytes:
                 assert got_c[k].shape == want_c[k].shape, k
                 assert got_c[k].tobytes() == want_c[k].tobytes(), k
         d_out = rng.normal(size=out.shape)
-        dx, grads = stack.backward(cache, d_out)
+        dx, grads = stack_backward(stack, cache, d_out)
         d = d_out
         for i in range(len(stack.layers) - 1, -1, -1):
             d, ref = oracle_gru_layer_backward(stack.layers[i], want_cache[i], d)
@@ -383,9 +405,9 @@ class TestGruRowIndependence:
 
     def test_rows_match_every_batch_size(self):
         rng = np.random.default_rng(21)
-        stack = GruStack(24, layers=3, rng=rng)
+        stack = GruStack(24, layers=3, rng=rng, name="gru")
         for layer in stack.layers:
-            layer.bx[:] = rng.normal(size=layer.bx.shape)
+            layer["bx"][:] = rng.normal(size=layer["bx"].shape)
         x = rng.normal(size=(25, 256, 24))
         full, _ = stack.forward(x, keep_cache=False)
         for batch in (1, 2, 3, 5, 16, 17, 255):

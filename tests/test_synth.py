@@ -1,8 +1,8 @@
 import numpy as np
 
 from coopad.data import estimate_period, load_ucr
-from coopad.synth import (DEFAULT_ANOMALIES, default_fixture, gen_periodic,
-                          write_ucr_file)
+from coopad.synth import (DEFAULT_ANOMALIES, WRITE_BLOCK, default_fixture,
+                          gen_periodic, write_ucr_file)
 
 
 class TestGenPeriodic:
@@ -62,3 +62,18 @@ class TestWriteUcr:
         assert np.allclose(loaded.values, values, rtol=1e-9)
         assert loaded.split == 200
         assert np.array_equal(loaded.labels, labels)
+
+    def test_bytes_match_per_line_format(self, tmp_path):
+        # formatted a block at a time, the file holds the bytes of one
+        # "%.12g\n" per value, across block edges and on awkward values
+        from coopad.data import RawSeries
+        rng = np.random.default_rng(5)
+        values = rng.normal(scale=1e3, size=2 * WRITE_BLOCK + 7)
+        values[:12] = [-0.0, 0.0, 1e-300, -1e-300, 1e300, 0.1, 3.0, -7.0, 123456789012345.0,
+                       5e-324, 1.7976931348623157e308, 2.0 ** 60]
+        values[WRITE_BLOCK - 1:WRITE_BLOCK + 1] = [0.1, -0.0]
+        series = RawSeries(values=values, name="x", split=100, labels=None)
+        path = write_ucr_file(str(tmp_path), series, stem="awk")
+        want = "".join("%.12g\n" % v for v in values)  # the old per-line loop
+        with open(path, "rb") as f:
+            assert f.read() == want.encode()

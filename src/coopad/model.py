@@ -31,12 +31,12 @@ of a hard-masking model that was never trained raises, as there is no
 calibrated threshold. `CoopConfig` is the one place that decides whether
 the settings are valid; nothing downstream checks them again.
 
-The frequency branch's input is the per-patch STFT features, framed
-straight from each window, times the frequency projection:
-`spectral.stft_apply` applies the model's patch kernel and the projection
-one block of patches at a time, so no pass forms or caches the (N, B,
-2KP) features. The backward makes them again (`spectral.stft_features`,
-the same products) for the projection's gradient, and maps their
+The frequency branch's input is the per-patch STFT features times the
+frequency projection, taken as one product of each window's reflect-padded
+patch windows with the patch kernel folded into the projection
+(`spectral.stft_apply`); the projection's gradient goes back through the
+same windows (`spectral.stft_proj_grad`), so no pass forms or caches the
+(N, B, 2KP) features. The backward maps the residual pass's feature
 gradient to the reconstruction through the dense operator's transpose,
 `stft_mat`, its only use. The model builds that operator on its first
 backward and keeps it, so construction, checkpoint loading and detect never
@@ -287,10 +287,10 @@ class CoopModel:
         Returns (h_t, h_f, cache): top-layer GRU states (N, B, H) of each
         branch, and what _encode_backward needs: the windows, their patches
         and, when keep_cache is true, the GRU caches. The frequency GRU's
-        input comes from the patch windows through the STFT patch kernel and
-        the frequency projection (`spectral.stft_apply`), which never forms
-        the STFT features; the backward makes them again. The branches run
-        one after the other, each input made just before its GRU.
+        input is one product of the patch windows with the STFT patch kernel
+        folded into the frequency projection (`spectral.stft_apply`), which
+        never forms the STFT features. The branches run one after the
+        other, each input made just before its GRU.
 
         With minus = (f_t, f_f), (f_t - h_t, f_f - h_f) are returned in
         place of the states. A training pass's states are its GRU caches, so
@@ -386,44 +386,32 @@ class CoopModel:
 
     def _head(self, feats, name, granularity):
         """Per-patch probabilities (N, B) from features (N, B, H) through the
-        weight head_<name> (head_step_<name> at step granularity). The cache
-        keeps the weight's name and the sigmoid outputs for _head_backward."""
+        weight head_<name> (head_step_<name> at step granularity): the mean
+        of sigmoid(feats @ weight.T) over the weight's rows (one, or P at
+        step granularity). At window granularity the features are pooled
+        over patches first and the window's probability repeated over them.
+        The cache keeps what _head_backward reads."""
         w = f"head_step_{name}" if granularity == "step" else f"head_{name}"
-        weight = self.tensors[w]
-        cache = {"granularity": granularity, "w": w, "feats": feats}
-        if granularity == "patch":
-            a = cache["a"] = sigmoid(np.squeeze(feats @ weight.T, axis=-1))
-            return a, cache
-        if granularity == "step":
-            s = cache["s"] = sigmoid(feats @ weight.T)                # (N,B,P)
-            return s.mean(axis=-1), cache
-        # window: pool over patches, single probability broadcast to N
-        pool = cache["pool"] = feats.mean(axis=0)                   # (B,H)
-        aw = cache["aw"] = sigmoid(np.squeeze(pool @ weight.T, axis=-1))  # (B,)
-        return np.broadcast_to(aw, (self.config.N, aw.shape[0])).copy(), cache
+        if granularity == "window":
+            feats = feats.mean(axis=0, keepdims=True)                # (1,B,H)
+        s = sigmoid(feats @ self.tensors[w].T)                      # (n,B,k)
+        a = s.mean(axis=-1)
+        if granularity == "window":
+            a = np.repeat(a, self.config.N, axis=0)
+        return a, {"granularity": granularity, "w": w, "feats": feats, "s": s}
 
     def _head_backward(self, d_a, head_cache, grads):
         """Backward of _head; returns gradient w.r.t. the features."""
-        c = self.config
-        w = head_cache["w"]
-        weight = self.tensors[w]
-        feats = head_cache["feats"]
-        if head_cache["granularity"] == "patch":
-            a = head_cache["a"]
-            dlog = d_a * a * (1.0 - a)
-            grads[w] += np.einsum("nb,nbh->h", dlog, feats)[None, :]
-            return dlog[..., None] * weight[0]
-        if head_cache["granularity"] == "step":
-            s = head_cache["s"]
-            dlog = (d_a[..., None] / c.P) * s * (1.0 - s)     # (N,B,P)
-            grads[w] += np.einsum("nbp,nbh->ph", dlog, feats)
-            return dlog @ weight
-        pool, aw = head_cache["pool"], head_cache["aw"]
-        d_aw = d_a.sum(axis=0)                                # (B,)
-        dlog = d_aw * aw * (1.0 - aw)
-        grads[w] += np.einsum("b,bh->h", dlog, pool)[None, :]
-        dpool = dlog[:, None] * weight[0]
-        return np.broadcast_to(dpool / c.N, feats.shape).copy()
+        w, feats, s = head_cache["w"], head_cache["feats"], head_cache["s"]
+        window = head_cache["granularity"] == "window"
+        if window:
+            d_a = d_a.sum(axis=0, keepdims=True)
+        dlog = (d_a[..., None] / s.shape[-1]) * s * (1.0 - s)      # (n,B,k)
+        grads[w] += np.einsum("nbk,nbh->kh", dlog, feats)
+        d_feats = dlog @ self.tensors[w]
+        if window:
+            return np.repeat(d_feats / self.config.N, self.config.N, axis=0)
+        return d_feats
 
     # -- backward ---------------------------------------------------------
 
@@ -503,8 +491,8 @@ class CoopModel:
         du_t = self.gru_time.backward(enc["gru_t"], d_h_t, grads)
         grads["w_time_patch"] += np.einsum("nbh,nbp->hp", du_t, enc["patches"])
         du_f = self.gru_freq.backward(enc["gru_f"], d_h_f, grads)
-        fpat = spectral.stft_features(self.stft_kernel, enc["x"], self.config.P)
-        grads["w_freq_patch"] += np.einsum("nbh,nbf->hf", du_f, fpat)
+        grads["w_freq_patch"] += spectral.stft_proj_grad(self.stft_kernel, enc["x"],
+                                                         self.config.P, du_f)
         return du_t, du_f
 
     # -- persistence ------------------------------------------------------

@@ -1,15 +1,15 @@
 """Short-time Fourier features: hop 1, centered, reflect padded, boxcar.
 
-The forward path is framed: `_patch_windows` reflect pads each window and
-views it as one overlapping window per patch (a strided view, never
-copied), and `stft_features` applies the block-Toeplitz kernel of
-`stft_patch_kernel` to those windows, giving the per-patch features the
-model's frequency encoder reads. A window costs O(T * (P + frame_len) *
-2K) multiply-adds this way, against O(2K * T^2) through a dense operator.
-The model's forward calls `stft_apply`, which projects the features to the
-encoder's input PATCH_BLOCK patches at a time and never holds more of
-them: at T = 2000 and 256 windows all of them would be 33 MB. Its
-backward calls `stft_features` for the projection's gradient.
+The frequency branch is framed: `_patch_windows` reflect pads each window
+and views it as one overlapping window of P + frame_len - 1 samples per
+patch (a strided view, never copied). The per-patch STFT features are
+those windows times the block-Toeplitz kernel of `stft_patch_kernel`, and
+the model's frequency encoder reads them through its projection, so
+`stft_apply` folds the two into one (P + frame_len - 1, D) matrix and
+takes one product with the windows; `stft_proj_grad`, the projection's
+gradient, goes back through the same windows. Neither forms the (N, B,
+P*2K) features. A window costs O(T/P * (P + frame_len) * D) multiply-adds
+either way, against O(2K * T^2) through a dense operator.
 `stft_matrix` builds the spectrogram as an explicit (2K*T, T) operator,
 row (k, t) holding the DFT weights of bin k for the frame centered at t;
 the model's backward pass uses its transpose product as the adjoint, and
@@ -23,9 +23,6 @@ not check them again.
 from __future__ import annotations
 
 import numpy as np
-
-PATCH_BLOCK = 16  # patches stft_apply projects at a time
-
 
 def frame_len_for_period(period):
     """Frame length tied to the dominant period: nearest even, in [8, 64]."""
@@ -97,30 +94,21 @@ def _patch_windows(x, P, width):
     return windows.transpose(1, 0, 2), B
 
 
-def stft_features(kernel, x, P):
-    """Per-patch STFT features (N, B, P*2K) of windows x (B, T) from a
-    stft_patch_kernel(P, frame_len, K).
-
-    Feature p*2K + k of patch n is bin k of the frame centered at n*P + p,
-    the spectrogram stft_matrix gives, cut into patches. One stacked matmul
-    applies the kernel to each patch's (B, P + frame_len - 1) rows of
-    `_patch_windows`, so besides its output the call allocates only the
-    padded windows.
-    """
-    windows, B = _patch_windows(x, P, kernel.shape[0])
-    return np.ascontiguousarray(np.matmul(windows, kernel)[:, :B])
-
-
 def stft_apply(kernel, x, P, proj):
-    """The projection stft_features(kernel, x, P) @ proj.T (N, B, D) of
-    windows x (B, T) by proj (D, P*2K), without forming the features:
-    PATCH_BLOCK patches at a time are made and projected. Each patch's two
-    products are the ones the features and a product of them with proj.T
-    take, so the bytes are the same."""
+    """The frequency encoder's input (N, B, D) of windows x (B, T): the
+    per-patch STFT features projected by proj (D, P*2K), taken as one
+    product of the patch windows with kernel @ proj.T, so the features
+    are never formed. `kernel` is a stft_patch_kernel(P, frame_len, K);
+    feature p*2K + k of patch n is bin k of the frame centered at n*P + p,
+    the spectrogram stft_matrix gives, cut into patches. Besides its
+    output the call allocates only the padded windows."""
     windows, B = _patch_windows(x, P, kernel.shape[0])
-    n = windows.shape[0]
-    out = np.empty((n, B, proj.shape[0]))
-    for a in range(0, n, PATCH_BLOCK):
-        feats = np.matmul(windows[a:a + PATCH_BLOCK], kernel)[:, :B]
-        np.matmul(feats, proj.T, out=out[a:a + PATCH_BLOCK])
-    return out
+    return np.matmul(windows, kernel @ proj.T)[:, :B]
+
+
+def stft_proj_grad(kernel, x, P, d_out):
+    """Gradient (D, P*2K) w.r.t. proj of <d_out, stft_apply(kernel, x, P,
+    proj)> for d_out (N, B, D): (sum_n d_out[n].T @ windows[n]) @ kernel,
+    through the same patch windows, so the features are never formed."""
+    windows, B = _patch_windows(x, P, kernel.shape[0])
+    return np.matmul(d_out.transpose(0, 2, 1), windows[:, :B]).sum(axis=0) @ kernel

@@ -40,7 +40,7 @@ class TrainConfig:
     def __post_init__(self):
         if not _is_real(self.lr) or not 0 < self.lr < math.inf:
             raise ValueError(f"lr must be a finite number > 0, not {self.lr!r}")
-        for name, least in (("epochs", 0), ("batch", 1)):
+        for name, least in (("epochs", 0), ("batch", 1), ("seed", 0)):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool) \
                     or value < least:

@@ -352,9 +352,9 @@ class TestEncode:
         assert np.array_equal(resid["head_f"]["feats"], hf_tilde - h_f)
 
     def test_inference_cache_keeps_no_frequency_features(self):
-        # stft_apply projects the features as it makes them and the backward
-        # makes them again, so neither pass keeps them; an inference pass
-        # keeps no GRU caches either
+        # stft_apply and the projection's gradient both go through the patch
+        # windows, so no pass keeps the features; an inference pass keeps no
+        # GRU caches either
         m = small_model(seed=19)
         xb = batch(seed=20)
         _, _, enc = m._encode(xb, keep_cache=False)

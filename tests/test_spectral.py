@@ -6,15 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopad.model import CoopConfig, CoopModel
-from coopad.spectral import (PATCH_BLOCK, frame_len_for_period, stft_apply,
-                             stft_features, stft_matrix, stft_patch_kernel)
+from coopad.spectral import (frame_len_for_period, stft_apply, stft_matrix,
+                             stft_patch_kernel, stft_proj_grad)
+
+
+def features(kernel, x, P):
+    """Per-patch STFT features (N, B, P*2K) through the framed path the
+    model runs: stft_apply with an identity projection, whose product with
+    the kernel is the kernel itself."""
+    return stft_apply(kernel, x, P, np.eye(kernel.shape[1]))
 
 
 def stft(x, K, frame_len):
     """Spectrogram (2K, T) of one window through the framed path the model
     runs, with one frame per patch (P = 1)."""
     x = np.asarray(x, dtype=np.float64)
-    return stft_features(stft_patch_kernel(1, frame_len, K), x[None, :], 1)[:, 0, :].T
+    return features(stft_patch_kernel(1, frame_len, K), x[None, :], 1)[:, 0, :].T
 
 
 def dense_patch_features(x, P, frame_len, K):
@@ -26,17 +33,18 @@ def dense_patch_features(x, P, frame_len, K):
     return spec.transpose(2, 0, 3, 1).reshape(T // P, B, P * 2 * K)
 
 
-def copied_frames_stft_features(kernel, x, P):
-    """Reference for stft_features's bytes: the patch windows copied
-    patch-major, then one (N*B, P + frame_len - 1) matmul with the kernel."""
+def copied_frames_product(x, P, matrix):
+    """Reference for the framed product's bytes: the patch windows of x
+    copied patch-major, then one (N*B, P + frame_len - 1) matmul with
+    matrix (P + frame_len - 1, D)."""
     B, T = x.shape
-    width = kernel.shape[0]
+    width = matrix.shape[0]
     frame_len = width - P + 1
     n = T // P
     xpad = np.pad(x, ((0, 0), (frame_len // 2, frame_len // 2)), mode="reflect")
     frames = np.lib.stride_tricks.sliding_window_view(xpad, width, axis=1)[:, :n * P:P]
     frames = np.ascontiguousarray(frames.transpose(1, 0, 2)).reshape(n * B, width)
-    return (frames @ kernel).reshape(n, B, -1)
+    return (frames @ matrix).reshape(n, B, -1)
 
 
 def naive_frame_dft(x, center, frame_len, K, window, T):
@@ -182,10 +190,10 @@ class TestStft:
         rng = np.random.default_rng(3)
         xb = rng.normal(size=(3, 32))
         kernel = stft_patch_kernel(4, 8, 4)
-        batched = stft_features(kernel, xb, 4)
+        batched = features(kernel, xb, 4)
         for b in range(3):
             # BLAS may block a one-row product differently
-            assert np.allclose(batched[:, b], stft_features(kernel, xb[b:b + 1], 4)[:, 0],
+            assert np.allclose(batched[:, b], features(kernel, xb[b:b + 1], 4)[:, 0],
                                atol=1e-12)
 
     def test_validation(self):
@@ -204,12 +212,14 @@ class TestStft:
         c = CoopConfig(T=8, P=4, frame_len=8, K=5)
         assert stft_matrix(c.T, c.frame_len, c.K).shape == (2 * c.K * c.T, c.T)
         kernel = stft_patch_kernel(c.P, c.frame_len, c.K)
-        feats = stft_features(kernel, np.zeros((1, c.T)), c.P)
+        feats = features(kernel, np.zeros((1, c.T)), c.P)
         assert feats.shape == (c.N, 1, c.P * 2 * c.K)
 
 
 class TestFramedFeatures:
-    """stft_features against the dense operator's spectrogram cut into patches."""
+    """The framed features against the dense operator's spectrogram cut into
+    patches, and the framed product and its projection gradient against
+    products over copied frames."""
 
     # T == frame_len, frame_len < P, P == 1, K == frame_len/2 + 1, P == T,
     # a single-sample reflection (frame_len 2) and frame_len 64, the largest
@@ -220,7 +230,7 @@ class TestFramedFeatures:
         (800, 8, 64, 4)])
     def test_matches_dense_operator(self, T, P, frame_len, K):
         x = np.random.default_rng(T + P).normal(size=(3, T))
-        got = stft_features(stft_patch_kernel(P, frame_len, K), x, P)
+        got = features(stft_patch_kernel(P, frame_len, K), x, P)
         want = dense_patch_features(x, P, frame_len, K)
         assert got.shape == want.shape == (T // P, 3, P * 2 * K)
         assert np.max(np.abs(got - want)) <= 1e-12
@@ -236,7 +246,7 @@ class TestFramedFeatures:
         B = data.draw(st.integers(1, 3), label="B")
         x = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed")) \
                      .normal(size=(B, T))
-        got = stft_features(stft_patch_kernel(P, frame_len, K), x, P)
+        got = features(stft_patch_kernel(P, frame_len, K), x, P)
         assert np.max(np.abs(got - dense_patch_features(x, P, frame_len, K))) <= 1e-12
 
     # the windows of periods 38, 50 and 500 at the default patch, at batch
@@ -246,39 +256,79 @@ class TestFramedFeatures:
     def test_bytes_match_copied_frames(self, T, frame_len, B):
         kernel = stft_patch_kernel(8, frame_len, 4)
         x = np.random.default_rng(T + B).normal(size=(B, T))
-        got = stft_features(kernel, x, 8)
-        want = copied_frames_stft_features(kernel, x, 8)
-        assert got.shape == want.shape and got.flags.c_contiguous
+        got = features(kernel, x, 8)
+        want = copied_frames_product(x, 8, kernel)
+        assert got.shape == want.shape
         assert np.array_equal(got, want)
 
-    # the windows of periods 50 and 500, whose 25 and 250 patches are not a
-    # multiple of the block stft_apply projects at a time
+    # the windows of periods 50 and 500: the projection is one product of
+    # the windows with kernel @ proj.T, the same bytes as over copied
+    # frames, and within rounding of projecting the features
     @pytest.mark.parametrize("T, frame_len", [(200, 50), (2000, 64)])
     @pytest.mark.parametrize("B", [1, 2, 3, 256])
     def test_projection_bytes_match_two_step_product(self, T, frame_len, B):
-        assert (T // 8) % PATCH_BLOCK != 0
         kernel = stft_patch_kernel(8, frame_len, 4)
         rng = np.random.default_rng(T + B)
         x = rng.normal(size=(B, T))
         proj = rng.uniform(-0.125, 0.125, size=(24, 8 * 2 * 4))  # as w_freq_patch
         got = stft_apply(kernel, x, 8, proj)
-        want = stft_features(kernel, x, 8) @ proj.T
-        assert got.shape == want.shape == (T // 8, B, 24)
-        assert np.array_equal(got, want)
+        assert got.shape == (T // 8, B, 24)
+        assert np.array_equal(got, copied_frames_product(x, 8, kernel @ proj.T))
+        two_step = features(kernel, x, 8) @ proj.T
+        assert np.max(np.abs(got - two_step)) <= 3e-14 * np.max(np.abs(two_step))
+
+    # the windows of periods 37, 50 and 500: each row of the framed product
+    # is the same bytes in a batch of any size, one row included
+    @pytest.mark.parametrize("T, frame_len", [(152, 38), (200, 50), (2000, 64)])
+    def test_rows_do_not_depend_on_the_batch(self, T, frame_len):
+        kernel = stft_patch_kernel(8, frame_len, 4)
+        rng = np.random.default_rng(T)
+        x = rng.normal(size=(256, T))
+        proj = rng.uniform(-0.125, 0.125, size=(24, 8 * 2 * 4))
+        full = stft_apply(kernel, x, 8, proj)
+        for B in (1, 2, 3, 17, 33, 50, 141, 255):
+            assert np.array_equal(stft_apply(kernel, x[:B], 8, proj), full[:, :B]), B
 
     def test_allocates_only_padded_windows_and_output(self):
         P, frame_len, K, B, T = 8, 64, 4, 64, 2000
         kernel = stft_patch_kernel(P, frame_len, K)
-        x = np.random.default_rng(5).normal(size=(B, T))
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(B, T))
+        proj = rng.uniform(-0.125, 0.125, size=(24, P * 2 * K))
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            out = stft_features(kernel, x, P)
+            out = stft_apply(kernel, x, P, proj)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
         padded = B * (T + frame_len) * 8
+        assert out.nbytes == (T // P) * B * 24 * 8
         assert peak <= out.nbytes + padded + 64 * 1024
+
+    # the windows of periods 50 and 500 (frame_len / 2 > P), and frame_len
+    # / 2 == P at both lengths, at batch sizes of one, two and many rows
+    @pytest.mark.parametrize("T, frame_len", [(200, 50), (200, 16), (2000, 64),
+                                              (2000, 16)])
+    @pytest.mark.parametrize("B", [1, 2, 256])
+    def test_projection_gradient_is_the_adjoint(self, T, frame_len, B):
+        P, K, D = 8, 4, 24
+        kernel = stft_patch_kernel(P, frame_len, K)
+        rng = np.random.default_rng(T + frame_len + B)
+        x = rng.normal(size=(B, T))
+        proj = rng.uniform(-0.125, 0.125, size=(D, P * 2 * K))
+        d_out = rng.normal(size=(T // P, B, D))
+        grad = stft_proj_grad(kernel, x, P, d_out)
+        assert grad.shape == proj.shape
+        # <d_out, A proj> = <A* d_out, proj>, to the rounding of sums whose
+        # terms are bounded by the products of magnitudes
+        out = stft_apply(kernel, x, P, proj)
+        scale = np.vdot(np.abs(d_out), np.abs(out))
+        assert abs(np.vdot(d_out, out) - np.vdot(grad, proj)) <= 1e-14 * scale
+        # the gradient of a product with the features, over copied frames
+        feats = copied_frames_product(x, P, kernel)
+        want = np.einsum("nbh,nbf->hf", d_out, feats)
+        assert np.max(np.abs(grad - want)) <= 3e-14 * np.max(np.abs(want))
 
     def test_kernel_layout(self):
         # column p*2K + k is bin k's weights shifted down by p rows
@@ -311,13 +361,13 @@ class TestPatching:
 
     def test_spectrogram_patches_oracle(self):
         # the features the frequency encoder's input is projected from:
-        # stft_features with the model's patch kernel against the naive
-        # per-frame DFT, cut into patches
+        # the framed features with the model's patch kernel against the
+        # naive per-frame DFT, cut into patches
         rng = np.random.default_rng(4)
         K, P, fl, T = 3, 4, 8, 12
         xb = rng.normal(size=(2, T))  # 2K=6
         model = CoopModel(CoopConfig(T=T, P=P, H=2, K=K, layers=1, frame_len=fl))
-        fpat = stft_features(model.stft_kernel, xb, P)
+        fpat = features(model.stft_kernel, xb, P)
         assert fpat.shape == (3, 2, 24)
         for b in range(2):
             for j in range(3):  # patch index

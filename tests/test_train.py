@@ -77,6 +77,7 @@ class TestTrainConfig:
                 ("lr", 0.0), ("lr", -1e-3), ("lr", math.nan), ("lr", math.inf),
                 ("lr", "0.1"), ("lr", True), ("epochs", -1), ("epochs", 1.5),
                 ("epochs", True), ("batch", 0), ("batch", 2.0),
+                ("seed", -1), ("seed", 1.5), ("seed", True),
                 ("distortion_prob", math.nan), ("distortion_prob", -0.1),
                 ("distortion_prob", 1.5), ("distortion_prob", math.inf),
                 ("exclude_kinds", ("bogus",)), ("exclude_kinds", "jittering")]:

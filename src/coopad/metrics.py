@@ -84,6 +84,7 @@ def _sweep(ranked, weights):
 
 
 def _f1(ranked):
+    """Maximum pointwise F1 over all distinct-score thresholds."""
     precision, recall = _sweep(ranked, ranked[0])
     denom = precision + recall
     f1 = np.where(denom > 0, 2.0 * precision * recall / np.maximum(denom, 1e-300), 0.0)
@@ -103,11 +104,6 @@ def _vus(ranked, max_buffer):
     values = np.array([_area(ranked, b) for b in buffers])
     area = (np.diff(buffers) * (values[1:] + values[:-1]) / 2.0).sum()
     return float(area / max_buffer)
-
-
-def standard_f1(scores, labels):
-    """Maximum pointwise F1 over all distinct-score thresholds."""
-    return _f1(_ranked(scores, labels))
 
 
 def auc_pr(scores, labels):

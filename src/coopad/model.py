@@ -22,6 +22,9 @@ are formed, so at T = 2000 it peaks at ~4.6 (N, B, H) float64 tensors
 (tracemalloc). A training pass caches no STFT features, and a training
 step at T = 200, B = 128 peaks at ~73 MB. The analysis window is always
 boxcar.
+In the default configuration an inference row has the same bytes in a
+batch of any size, a rule `forward` alone keeps; under feat_gate fusion
+the gate product still rounds by batch shape, by a few ulps.
 Ablation behavior is selected by four config flags: masking strategy,
 classification granularity, branch fusion and scoring; the default
 configuration is soft masking, patch granularity, max fusion, joint
@@ -247,12 +250,20 @@ class CoopModel:
 
         keep_cache=True marks a training pass: the result carries what
         backward needs, and hard masking calibrates its threshold on it.
-        Otherwise the GRU recurrences run in float32.
+        Otherwise the GRU recurrences run in float32, and a one-window batch
+        runs as two copies of the window and keeps the first: BLAS takes a
+        one-row product through gemv, which rounds differently from the gemm
+        every wider batch gets. This is the one place that keeps inference
+        rows independent of their batch.
         """
         c = self.config
         xb = np.atleast_2d(np.asarray(xb, dtype=np.float64))
         if xb.shape[1] != c.T:
             raise ValueError(f"window length {xb.shape[1]} != T={c.T}")
+        if not keep_cache and len(xb) == 1:
+            two = self.forward(np.repeat(xb, 2, axis=0), rng)
+            probs = PatchProbabilities(**{k: v[:, :1] for k, v in vars(two.probs).items()})
+            return ForwardResult(probs=probs, x_r=two.x_r[:1])
         ht_tilde, hf_tilde, enc = self._encode(xb, keep_cache)
 
         a_t, a_f, a_fused, cls_cache = self._classify(ht_tilde, hf_tilde)
@@ -388,13 +399,14 @@ class CoopModel:
         """Per-patch probabilities (N, B) from features (N, B, H) through the
         weight head_<name> (head_step_<name> at step granularity): the mean
         of sigmoid(feats @ weight.T) over the weight's rows (one, or P at
-        step granularity). At window granularity the features are pooled
-        over patches first and the window's probability repeated over them.
-        The cache keeps what _head_backward reads."""
+        step granularity), by einsum: a BLAS gemv rounds by batch shape. At
+        window granularity the features are pooled over patches first and
+        the window's probability repeated over them. The cache keeps what
+        _head_backward reads."""
         w = f"head_step_{name}" if granularity == "step" else f"head_{name}"
         if granularity == "window":
             feats = feats.mean(axis=0, keepdims=True)                # (1,B,H)
-        s = sigmoid(feats @ self.tensors[w].T)                      # (n,B,k)
+        s = sigmoid(np.einsum("nbh,kh->nbk", feats, self.tensors[w]))  # (n,B,k)
         a = s.mean(axis=-1)
         if granularity == "window":
             a = np.repeat(a, self.config.N, axis=0)

@@ -45,11 +45,7 @@ a view of the state buffer.
 An inference pass keeps two wave rows, casts each step's float64 input
 row into its row and writes the top layer's states straight into the
 float64 output, so besides the output it holds only (layers, batch, 3H)
-sized buffers. An inference row does not depend on the rest of its batch:
-BLAS takes a one-row float32 product through gemv, which rounds
-differently from the gemm of any wider batch (up to 3e-7 on one (1, 24) @
-(24, 72) product), so a one-row inference batch runs as two rows and keeps
-the first.
+sized buffers.
 
 Per wave step the lanes share one call per operation, which pays at small
 batches, where calls cost more than the arithmetic. Matmuls after the
@@ -136,30 +132,27 @@ class GruStack:
             raise ValueError(f"input dim {hdim} != hidden {self.hidden}")
         layers = len(self.w)
         dtype = np.float64 if keep_cache else np.float32
-        # BLAS takes a one-row product through gemv, which rounds differently
-        # from the gemm every wider batch gets
-        rows = 2 if not keep_cache and batch == 1 else batch
         waves = steps + layers - 1
         # per lane the pair (wx.T, wh.T) as transposed views, and the biases
         # (bx, bh) repeated over the batch, as a broadcast add is slower
         w = self.w.astype(dtype, copy=False).transpose(0, 1, 3, 2)
-        b = np.repeat(self.b.astype(dtype, copy=False)[:, :, None], rows, axis=2)
-        g = np.empty((layers, 2, rows, 3 * hdim), dtype)
-        zr_tmp = np.empty((layers, 2, rows, hdim), dtype)
-        blend = np.empty((layers, rows, hdim), dtype)
+        b = np.repeat(self.b.astype(dtype, copy=False)[:, :, None], batch, axis=2)
+        g = np.empty((layers, 2, batch, 3 * hdim), dtype)
+        zr_tmp = np.empty((layers, 2, batch, hdim), dtype)
+        blend = np.empty((layers, batch, hdim), dtype)
         if keep_cache:
-            seq = np.zeros(((layers + 1) * (steps + 1), rows, hdim))
+            seq = np.zeros(((layers + 1) * (steps + 1), batch, hdim))
             seq[1:steps + 1] = inputs
             wave = _blocks(seq[1:], (waves + 1, layers + 1), (1, steps))
             pairs = _blocks(seq[1:], (waves, layers, 2), (1, steps, steps))
-            zr_w = np.empty((waves, layers, 2, rows, hdim))
-            n_w, ghn_w = (np.empty((waves, layers, rows, hdim)) for _ in range(2))
+            zr_w = np.empty((waves, layers, 2, batch, hdim))
+            n_w, ghn_w = (np.empty((waves, layers, batch, hdim)) for _ in range(2))
         else:
-            flat = np.zeros((2 * (layers + 1), rows, hdim), dtype)
-            wave = flat.reshape(2, layers + 1, rows, hdim)
+            flat = np.zeros((2 * (layers + 1), batch, hdim), dtype)
+            wave = flat.reshape(2, layers + 1, batch, hdim)
             pairs = [_blocks(flat[i * (layers + 1):], (layers, 2), (1, 1)) for i in (0, 1)]
-            zr_s = np.empty((layers, 2, rows, hdim), dtype)
-            n_s = np.empty((layers, rows, hdim), dtype)
+            zr_s = np.empty((layers, 2, batch, hdim), dtype)
+            n_s = np.empty((layers, batch, hdim), dtype)
             out = np.empty((steps, batch, hdim))
         for s in range(waves):
             lo, hi = max(0, s - steps + 1), min(layers, s + 1)
@@ -181,7 +174,7 @@ class GruStack:
             # holds each lane's (x, h) and g_s its (gx, gh)
             np.matmul(pair, w[lo:hi], out=g_s)
             g_s += b[lo:hi]
-            gates = g_s.reshape(k, 2, rows, 3, hdim)
+            gates = g_s.reshape(k, 2, batch, 3, hdim)
             np.add(gates[:, 0, :, :2], gates[:, 1, :, :2], out=zr.transpose(0, 2, 1, 3))
             _sigmoid_into(zr, zr, zr_tmp[:k])
             if keep_cache:
@@ -193,7 +186,7 @@ class GruStack:
             np.multiply(z, h, out=h_new)
             np.add(bl, h_new, out=h_new)
             if not keep_cache and hi == layers:
-                out[s - layers + 1] = h_new[-1, :batch]
+                out[s - layers + 1] = h_new[-1]
         if not keep_cache:
             return out, None
         span = steps + 1

@@ -90,7 +90,8 @@ def detect(test_values, model, scoring=None):
     period + 1 points for an even period and period + 2 for an odd one.
     Windows are cut, scored and stitched BATCH (a constant) at a time, so
     memory is the result plus one batch's forward pass at any length; the
-    scores are byte-reproducible. A value that overflows, such as a test
+    scores are byte-reproducible, and in the default configuration the
+    same bytes for any BATCH. A value that overflows, such as a test
     value beyond float32's range (~3.4e38) in the float32 recurrences,
     raises FloatingPointError instead of scoring NaN.
     """

@@ -78,20 +78,15 @@ def stft_patch_kernel(P, frame_len, K):
 
 
 def _patch_windows(x, P, width):
-    """(windows, B): the N patch windows (N, B', width) of windows x (B, T),
-    one window of `width` = P + frame_len - 1 samples at every multiple of
-    P of x reflect padded by frame_len / 2 on each side, as a strided view.
-    A one-row x is repeated to two rows (B' = 2): BLAS takes a one-row
-    product through gemv, which rounds differently from the gemm every
-    wider batch gets, so a product with the windows keeps its first B rows."""
+    """The N patch windows (N, B, width) of windows x (B, T), one window of
+    `width` = P + frame_len - 1 samples at every multiple of P of x reflect
+    padded by frame_len / 2 on each side, as a strided view."""
     x = np.asarray(x, dtype=np.float64)
-    B, T = x.shape
-    if B == 1:
-        x = np.repeat(x, 2, axis=0)
+    T = x.shape[1]
     half = (width - P + 1) // 2  # frame_len / 2
     xpad = np.pad(x, ((0, 0), (half, half)), mode="reflect")
     windows = np.lib.stride_tricks.sliding_window_view(xpad, width, axis=1)[:, :T:P]
-    return windows.transpose(1, 0, 2), B
+    return windows.transpose(1, 0, 2)
 
 
 def stft_apply(kernel, x, P, proj):
@@ -102,13 +97,13 @@ def stft_apply(kernel, x, P, proj):
     feature p*2K + k of patch n is bin k of the frame centered at n*P + p,
     the spectrogram stft_matrix gives, cut into patches. Besides its
     output the call allocates only the padded windows."""
-    windows, B = _patch_windows(x, P, kernel.shape[0])
-    return np.matmul(windows, kernel @ proj.T)[:, :B]
+    windows = _patch_windows(x, P, kernel.shape[0])
+    return np.matmul(windows, kernel @ proj.T)
 
 
 def stft_proj_grad(kernel, x, P, d_out):
     """Gradient (D, P*2K) w.r.t. proj of <d_out, stft_apply(kernel, x, P,
     proj)> for d_out (N, B, D): (sum_n d_out[n].T @ windows[n]) @ kernel,
     through the same patch windows, so the features are never formed."""
-    windows, B = _patch_windows(x, P, kernel.shape[0])
-    return np.matmul(d_out.transpose(0, 2, 1), windows[:, :B]).sum(axis=0) @ kernel
+    windows = _patch_windows(x, P, kernel.shape[0])
+    return np.matmul(d_out.transpose(0, 2, 1), windows).sum(axis=0) @ kernel

@@ -100,7 +100,7 @@ def test_02_metric_oracles():
         scores, labels = random_instance(rng)
         worst = max(
             worst,
-            abs(metrics.standard_f1(scores, labels) - oracle_f1(scores, labels)),
+            abs(metrics.evaluate(scores, labels).f1 - oracle_f1(scores, labels)),
             abs(metrics.auc_pr(scores, labels) - oracle_auc_pr(scores, labels, 0.0)))
         buf = float(rng.uniform(0, 8))
         worst = max(worst, abs(metrics.range_auc_pr(scores, labels, buffer=buf)

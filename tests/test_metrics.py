@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from coopad.metrics import (VUS_STEPS, MetricError, aggregate_reports, anomaly_ranges,
                             auc_pr, average_anomaly_length, buffered_weights,
-                            evaluate, range_auc_pr, select_peaks, standard_f1,
-                            topk_accuracy, vus_pr)
+                            evaluate, range_auc_pr, select_peaks, topk_accuracy,
+                            vus_pr)
 
 # ---------------------------------------------------------------------------
 # brute-force oracles: explicit loops, no shared code with the implementation
@@ -212,26 +212,29 @@ class TestAnomalyRanges:
 
 
 class TestStandardF1:
+    """The maximum pointwise F1 over all distinct-score thresholds, as
+    evaluate reports it."""
+
     def test_perfect(self):
-        assert standard_f1([0.1, 0.9, 0.8, 0.2], [0, 1, 1, 0]) == 1.0
+        assert evaluate([0.1, 0.9, 0.8, 0.2], [0, 1, 1, 0]).f1 == 1.0
 
     def test_inverted_scores(self):
         # best threshold predicts everything positive: p=1/2, r=1
-        v = standard_f1([0.9, 0.1], [0, 1])
+        v = evaluate([0.9, 0.1], [0, 1]).f1
         assert np.isclose(v, 2 * 0.5 * 1.0 / 1.5, atol=1e-12)
 
     def test_all_tied(self):
         # one threshold group: everything positive
-        v = standard_f1([1.0, 1.0, 1.0, 1.0], [0, 1, 0, 0])
+        v = evaluate([1.0, 1.0, 1.0, 1.0], [0, 1, 0, 0]).f1
         assert np.isclose(v, 2 * 0.25 * 1.0 / 1.25, atol=1e-12)
 
     def test_no_positives(self):
         with pytest.raises(MetricError):
-            standard_f1([1.0, 2.0], [0, 0])
+            evaluate([1.0, 2.0], [0, 0]).f1
 
     def test_length_mismatch(self):
         with pytest.raises(MetricError):
-            standard_f1([1.0], [0, 1])
+            evaluate([1.0], [0, 1]).f1
 
 
 class TestBufferedWeights:
@@ -283,8 +286,8 @@ class TestAucPr:
         a = auc_pr(scores, labels)
         b = auc_pr(np.exp(scores) * 3.0 + 1.0, labels)
         assert np.isclose(a, b, atol=1e-12)
-        assert np.isclose(standard_f1(scores, labels),
-                          standard_f1(np.exp(scores), labels), atol=1e-12)
+        assert np.isclose(evaluate(scores, labels).f1,
+                          evaluate(np.exp(scores), labels).f1, atol=1e-12)
 
 
 class TestRangeAucPr:
@@ -354,7 +357,7 @@ class TestOracleSweep:
         rng = np.random.default_rng(6)
         for _ in range(500):
             scores, labels = random_instance(rng)
-            assert abs(standard_f1(scores, labels)
+            assert abs(evaluate(scores, labels).f1
                        - oracle_f1(scores, labels)) < 1e-9
             assert abs(auc_pr(scores, labels)
                        - oracle_auc_pr(scores, labels, 0.0)) < 1e-9
@@ -383,7 +386,6 @@ class TestOneRanking:
         buffer = data.draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.5, 3.0, 7.0]),
                                      st.floats(0, 100), st.integers(1, 200)), label="buffer")
         for got, want in (
-                (standard_f1(scores, labels), sorted_f1(scores, labels)),
                 (auc_pr(scores, labels), sorted_range_auc_pr(scores, labels, 0.0)),
                 (range_auc_pr(scores, labels), sorted_range_auc_pr(scores, labels)),
                 (range_auc_pr(scores, labels, buffer), sorted_range_auc_pr(scores, labels, buffer)),

@@ -7,8 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from coopad import cli, score, spectral
+from coopad import cli, score, spectral, synth
 from coopad.checkpoint import load_checkpoint, save_checkpoint
+from coopad.data import make_windows
 from coopad.model import (FUSIONS, GRANULARITIES, CoopConfig, CoopModel,
                           hard_mask_threshold, mask_coefficients)
 from coopad.numerics import AdamState, adam_step, grad_check
@@ -200,12 +201,14 @@ class TestForward:
 
 
 # Largest difference between an inference row scored in one batch and in
-# another, fixed before the first run. The float32 recurrences give the same
-# bytes for every batch size (tests/test_numerics.py); the float64 heads and
-# projections around them round by batch shape as BLAS picks its kernel, a
-# few ulps (up to 2.2e-16 at periods 37, 50 and 500, as before float32).
-# A float32 product whose rounding follows the batch (a one-row batch
-# through gemv) moves scores by 1e-8 to 1.4e-8.
+# another under an ablation, fixed before the first run. In the default
+# configuration a row has the same bytes in every batch: CoopModel.forward
+# runs a one-window batch as two rows and the heads multiply by einsum. The
+# feat_gate fusion's gate product, cat @ w_gate.T, still goes through BLAS,
+# whose kernel follows the batch shape (OpenBLAS's small-matrix kernel at a
+# few rows); in detect it moves a few points by an ulp or two. A float32
+# product whose rounding follows the batch (a one-row batch through gemv)
+# moves scores by 1e-8 to 1.4e-8.
 ROW_BOUND = 1e-14
 ROW_CONFIGS = [{}, {"masking": "hard"}, {"masking": "random"}, {"masking": "grating"},
                {"fusion": "mean"}, {"fusion": "feat_add"}, {"fusion": "feat_gate"},
@@ -214,36 +217,72 @@ ROW_CONFIGS = [{}, {"masking": "hard"}, {"masking": "random"}, {"masking": "grat
 
 class TestInferenceRowIndependence:
     """A window's inference scores do not depend on the other windows of its
-    batch."""
+    batch: to the byte in the default configuration, within ROW_BOUND under
+    the ablations."""
 
+    # the default config at periods 37, 50 and 500, to the byte; each
+    # ablation at period 50, within ROW_BOUND
     @pytest.mark.parametrize("overrides", ROW_CONFIGS,
                              ids=["-".join(o.values()) or "default" for o in ROW_CONFIGS])
     def test_rows_match_every_batch_size(self, overrides):
-        m = CoopModel(CoopConfig.for_period(50, **overrides), seed=2)
-        x = np.random.default_rng(3).normal(size=(256, m.config.T))
-        # hard masking at inference uses the threshold a training pass calibrates
-        m.forward(x, keep_cache=True)
+        for period in (50,) if overrides else (37, 50, 500):
+            m = CoopModel(CoopConfig.for_period(period, **overrides), seed=2)
+            n = 48 if period == 500 else 256
+            x = np.random.default_rng(3).normal(size=(n, m.config.T))
+            # hard masking at inference uses the threshold a training pass calibrates
+            m.forward(x, keep_cache=True)
+            full = m.forward(x)
+            full_scores = score.pointwise_scores(x, full)
+            for rows in (slice(0, 1), slice(0, 2), slice(0, 3), slice(0, 5), slice(0, 16),
+                         slice(0, 17), slice(1, n), slice(n - 1, n)):
+                res = m.forward(x[rows])
+                for got, want in ((res.x_r, full.x_r[rows]),
+                                  (res.probs.combined, full.probs.combined[:, rows]),
+                                  (score.pointwise_scores(x[rows], res), full_scores[rows])):
+                    if overrides:
+                        assert np.abs(got - want).max() <= ROW_BOUND, rows
+                    else:
+                        assert np.array_equal(got, want), (period, rows)
+
+    @pytest.mark.parametrize("period", [37, 50, 500])
+    def test_default_rows_match_batches_of_1_to_39(self, period):
+        m = CoopModel(CoopConfig.for_period(period), seed=2)
+        T = m.config.T
+        # 44 windows of a noisy sine, T/4 apart
+        values, _ = synth.gen_periodic(T + 43 * (T // 4), period, 0.05, [], seed=period)
+        x = make_windows(values, T, np.arange(44) * (T // 4)).windows
         full = m.forward(x)
-        full_scores = score.pointwise_scores(x, full)
-        for rows in (slice(0, 1), slice(0, 2), slice(0, 3), slice(0, 5), slice(0, 16),
-                     slice(0, 17), slice(1, 256), slice(255, 256)):
-            res = m.forward(x[rows])
-            for got, want in ((res.x_r, full.x_r[rows]),
-                              (res.probs.combined, full.probs.combined[:, rows]),
-                              (score.pointwise_scores(x[rows], res), full_scores[rows])):
-                assert np.abs(got - want).max() <= ROW_BOUND, rows
+        for offset in (0, 5):
+            for size in range(1, 40):
+                rows = slice(offset, offset + size)
+                res = m.forward(x[rows])
+                assert np.array_equal(res.x_r, full.x_r[rows]), rows
+                assert np.array_equal(res.probs.combined, full.probs.combined[:, rows]), rows
+
+    @pytest.mark.parametrize("period", [50, 500])
+    def test_detect_bytes_do_not_depend_on_batch(self, period, monkeypatch):
+        m = CoopModel(CoopConfig.for_period(period), seed=4)
+        values, _ = synth.gen_periodic(20_000, period, 0.05, [], seed=period)
+        runs = []
+        for size in (1, 7, 256):
+            monkeypatch.setattr(score, "BATCH", size)
+            runs.append(score.detect(values, m))
+        for series in runs[1:]:
+            assert np.array_equal(series.scores, runs[0].scores)
+            assert np.array_equal(series.smoothed, runs[0].smoothed)
 
     def test_detect_end_points_match_one_window_rescore(self):
         # one window covers each end of the series; detect scores it inside
         # a batch, the re-score alone (a one-row batch)
-        m = CoopModel(CoopConfig.for_period(50), seed=4)
-        T = m.config.T
-        x = np.random.default_rng(5).normal(size=14_000)  # 277 windows: 2 batches
-        series = score.detect(x, m)
-        for window, point, offset in ((x[:T], 0, 0), (x[-T:], len(x) - 1, T - 1)):
-            assert series.coverage[point] == 1
-            one = score.pointwise_scores(window[None], m.forward(window[None]))
-            assert abs(series.scores[point] - one[0, offset]) <= ROW_BOUND
+        for period in (37, 50, 500):
+            m = CoopModel(CoopConfig.for_period(period), seed=4)
+            T = m.config.T
+            x = np.random.default_rng(5).normal(size=14_000)  # 277 windows at period 50
+            series = score.detect(x, m)
+            for window, point, offset in ((x[:T], 0, 0), (x[-T:], len(x) - 1, T - 1)):
+                assert series.coverage[point] == 1
+                one = score.pointwise_scores(window[None], m.forward(window[None]))
+                assert series.scores[point] == one[0, offset], (period, point)
 
 
 class TestParamsAndPersistence:

@@ -291,15 +291,11 @@ def oracle_gru_layer_forward(layer, inputs):
 
 def oracle_stack_forward(stack, x, dtype=np.float64):
     """The stack's output through the plain-expression loop in dtype,
-    returned as float64. In float32 a one-row batch runs as two rows, as an
-    inference pass runs it, and the first copy is kept."""
-    batch = x.shape[1]
+    returned as float64."""
     out = np.asarray(x, dtype=dtype)
-    if dtype == np.float32 and batch == 1:
-        out = np.repeat(out, 2, axis=1)
     for layer in stack.layers:
         out, _ = oracle_gru_layer_forward(layer, out)
-    return out[:, :batch].astype(np.float64)
+    return out.astype(np.float64)
 
 
 def oracle_gru_layer_backward(layer, cache, grad_outputs):
@@ -398,10 +394,10 @@ class TestGruWorkspaceBytes:
 
 
 class TestGruRowIndependence:
-    """An inference row's bytes do not depend on the other rows of its
-    batch. BLAS takes a one-row float32 product through gemv, which rounds
-    differently from the gemm of a wider batch, so a one-row batch runs as
-    two rows."""
+    """An inference row's bytes do not depend on the other rows of a batch
+    of two or more. A one-row float32 product goes through BLAS gemv, which
+    rounds differently; CoopModel.forward runs a one-window batch as two
+    rows (tests/test_model.py)."""
 
     def test_rows_match_every_batch_size(self):
         rng = np.random.default_rng(21)
@@ -410,7 +406,7 @@ class TestGruRowIndependence:
             layer["bx"][:] = rng.normal(size=layer["bx"].shape)
         x = rng.normal(size=(25, 256, 24))
         full, _ = stack.forward(x, keep_cache=False)
-        for batch in (1, 2, 3, 5, 16, 17, 255):
+        for batch in (2, 3, 5, 16, 17, 255):
             out, _ = stack.forward(x[:, :batch], keep_cache=False)
             assert out.tobytes() == full[:, :batch].tobytes(), batch
             last, _ = stack.forward(x[:, 256 - batch:], keep_cache=False)

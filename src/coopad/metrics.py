@@ -98,12 +98,14 @@ def _area(ranked, buffer):
 
 
 def _vus(ranked, max_buffer):
+    """(VUS-PR, plain AUC-PR): the sweep's first buffer is exactly 0."""
     if max_buffer <= 0:
-        return _area(ranked, 0.0)
+        area = _area(ranked, 0.0)
+        return area, area
     buffers = np.linspace(0.0, max_buffer, VUS_STEPS)
     values = np.array([_area(ranked, b) for b in buffers])
     area = (np.diff(buffers) * (values[1:] + values[:-1]) / 2.0).sum()
-    return float(area / max_buffer)
+    return float(area / max_buffer), float(values[0])
 
 
 def auc_pr(scores, labels):
@@ -145,7 +147,7 @@ def vus_pr(scores, labels, max_buffer=None):
     average anomaly length, and max_buffer <= 0 gives plain AUC-PR."""
     if max_buffer is None:
         max_buffer = 2.0 * average_anomaly_length(labels)
-    return _vus(_ranked(scores, labels), max_buffer)
+    return _vus(_ranked(scores, labels), max_buffer)[0]
 
 
 def select_peaks(scores, k):
@@ -183,9 +185,9 @@ def evaluate(scores, labels):
     ranges = anomaly_ranges(labels)
     topk = ({k: topk_accuracy(scores, ranges[0], k) for k in TOPK_KS}
             if len(ranges) == 1 else {})
-    return MetricsReport(f1=_f1(ranked), auc_pr=_area(ranked, 0.0),
-                         r_auc_pr=_area(ranked, mean_length),
-                         vus_pr=_vus(ranked, 2.0 * mean_length), topk=topk)
+    vus, auc = _vus(ranked, 2.0 * mean_length)
+    return MetricsReport(f1=_f1(ranked), auc_pr=auc,
+                         r_auc_pr=_area(ranked, mean_length), vus_pr=vus, topk=topk)
 
 
 def aggregate_reports(reports):

@@ -19,20 +19,24 @@ its last read: the reconstruction's blend input, GRU states and per-patch
 output die before the residual encode, and the residual encode subtracts
 each branch's states from the window's encoding in place as soon as they
 are formed, so at T = 2000 it peaks at ~4.6 (N, B, H) float64 tensors
-(tracemalloc). A training pass caches no STFT features, and a training
-step at T = 200, B = 128 peaks at ~73 MB. The analysis window is always
-boxcar.
-In the default configuration an inference row has the same bytes in a
-batch of any size, a rule `forward` alone keeps; under feat_gate fusion
-the gate product still rounds by batch shape, by a few ulps.
+(tracemalloc). A training pass caches no STFT features and not the
+blend's patch projection z, and a training step at T = 200, B = 128 peaks
+at ~73 MB. The analysis window is always boxcar.
+In every configuration an inference row has the same bytes in a batch of
+any size: `forward` alone runs a one-window batch as two, and the heads'
+and the feat_gate gate's products are einsums, which do not round by batch
+shape as BLAS does.
 Ablation behavior is selected by four config flags: masking strategy,
 classification granularity, branch fusion and scoring; the default
 configuration is soft masking, patch granularity, max fusion, joint
-scoring. Hard masking thresholds at the mean plus three standard deviations
-of the fused probabilities of the last training batch; an inference forward
-of a hard-masking model that was never trained raises, as there is no
-calibrated threshold. `CoopConfig` is the one place that decides whether
-the settings are valid; nothing downstream checks them again.
+scoring. Only soft masking's weights are the fused probabilities, so
+`backward` alone decides, from config.masking, to pass the blend's gradient
+back into the classifier; it recomputes z for that. Hard masking thresholds
+at the mean plus three standard deviations of the fused probabilities of
+the last training batch; an inference forward of a hard-masking model that
+was never trained raises, as there is no calibrated threshold. `CoopConfig`
+is the one place that decides whether the settings are valid; nothing
+downstream checks them again.
 
 The frequency branch's input is the per-patch STFT features times the
 frequency projection, taken as one product of each window's reflect-padded
@@ -160,31 +164,27 @@ def hard_mask_threshold(probs):
 
 
 def mask_coefficients(fused_probs, config, rng=None, threshold=None):
-    """Per-patch mask weights for the reconstruction blend.
-
-    Returns (coefficients, grad_flows): gradient flows back into the
-    classifier only in soft mode; the binary variants are constants. Hard
+    """Per-patch mask weights for the reconstruction blend: the fused
+    probabilities themselves in soft mode, binary constants otherwise. Hard
     masking needs the threshold training calibrated (ValueError without it).
     """
     a = fused_probs
     mode = config.masking
     if mode == "soft":
-        return a, True
+        return a
     if mode == "hard":
         if threshold is None:
             raise ValueError("hard masking needs the threshold training calibrates")
-        return (a > threshold).astype(np.float64), False
+        return (a > threshold).astype(np.float64)
     if mode == "random":
         if rng is None:  # one column for every window, so no row depends on its batch
             column = np.random.default_rng(0).random((a.shape[0], 1)) < RANDOM_MASK_RATE
-            return np.broadcast_to(column, a.shape).astype(np.float64), False
-        return (rng.random(a.shape) < RANDOM_MASK_RATE).astype(np.float64), False
-    if mode == "grating":
-        phase = int(rng.integers(2)) if rng is not None else 0
-        coeff = np.zeros_like(a)
-        coeff[phase::2] = 1.0
-        return coeff, False
-    raise ValueError(f"unknown masking mode {mode!r}")
+            return np.broadcast_to(column, a.shape).astype(np.float64)
+        return (rng.random(a.shape) < RANDOM_MASK_RATE).astype(np.float64)
+    phase = int(rng.integers(2)) if rng is not None else 0  # grating
+    coeff = np.zeros_like(a)
+    coeff[phase::2] = 1.0
+    return coeff
 
 
 class CoopModel:
@@ -270,8 +270,7 @@ class CoopModel:
 
         if keep_cache and c.masking == "hard":
             self.hard_threshold = hard_mask_threshold(a_fused)
-        coeff, grad_through_mask = mask_coefficients(a_fused, c, rng=rng,
-                                                     threshold=self.hard_threshold)
+        coeff = mask_coefficients(a_fused, c, rng=rng, threshold=self.hard_threshold)
 
         x_r, recon_cache = self._reconstruct(enc["patches"], coeff, keep_cache)
 
@@ -288,7 +287,7 @@ class CoopModel:
         if keep_cache:
             cache = {
                 "enc": enc, "enc_r": enc_r, "cls": cls_cache, "resid": resid_cache,
-                "coeff": coeff, "grad_through_mask": grad_through_mask, **recon_cache,
+                "coeff": coeff, **recon_cache,
             }
         return ForwardResult(probs=probs, x_r=x_r, cache=cache)
 
@@ -337,22 +336,19 @@ class CoopModel:
         t = self.tensors
         z = patches @ t["w_mask_proj"].T                            # (N,B,H)
         em_cols = t["e_mask"].T[:, None, :]                         # (N,1,H)
-        # e_m = coeff * em_cols + (1 - coeff) * z, with one temporary; an
-        # inference pass scales z in place, as nothing reads it again
+        # e_m = coeff * em_cols + (1 - coeff) * z, with z scaled in place:
+        # nothing reads it again, and backward recomputes it
         e_m = coeff[..., None] * em_cols
-        if keep_cache:
-            e_m += (1.0 - coeff)[..., None] * z
-        else:
-            z *= (1.0 - coeff)[..., None]
-            e_m += z
-            del z
+        z *= (1.0 - coeff)[..., None]
+        e_m += z
+        del z
         r_out, cache_r = self.gru_recon.forward(e_m, keep_cache=keep_cache)
         del e_m
         xr_p = r_out @ t["w_out"].T                                 # (N,B,P)
         x_r = xr_p.transpose(1, 0, 2).reshape(patches.shape[1], c.T)
         if not keep_cache:
             return x_r, {}
-        return x_r, {"z": z, "r_out": r_out, "cache_r": cache_r}
+        return x_r, {"r_out": r_out, "cache_r": cache_r}
 
     def _classify(self, ht_tilde, hf_tilde):
         """Branch heads + fusion. Returns (A_t, A_f, A, cache)."""
@@ -366,7 +362,7 @@ class CoopModel:
             hc = ht_tilde + hf_tilde
         else:
             cat = np.concatenate([ht_tilde, hf_tilde], axis=-1)
-            g = sigmoid(cat @ t["w_gate"].T + t["b_gate"])
+            g = sigmoid(np.einsum("nbj,hj->nbh", cat, t["w_gate"]) + t["b_gate"])
             hc = g * ht_tilde + (1.0 - g) * hf_tilde
             cache["g"], cache["cat"] = g, cat
         a, cache["head_c"] = self._head(hc, "time", c.granularity)
@@ -458,18 +454,17 @@ class CoopModel:
         d_rout = d_xrp @ t["w_out"]
         d_em = self.gru_recon.backward(cache["cache_r"], d_rout, grads)
 
-        # soft-mask blend
+        # mask blend
         coeff = cache["coeff"]
-        z = cache["z"]
-        em_cols = t["e_mask"].T[:, None, :]
         grads["e_mask"] += np.einsum("nbh->nh", coeff[..., None] * d_em).T
         d_z = (1.0 - coeff)[..., None] * d_em
         grads["w_mask_proj"] += np.einsum("nbh,nbp->hp", d_z, cache["enc"]["patches"])
 
         # fusion + branch heads
         d_a = 0.5 * d_ac
-        if cache["grad_through_mask"]:
-            d_a = d_a + ((em_cols - z) * d_em).sum(axis=-1)
+        if c.masking == "soft":  # the mask weights are the fused probabilities
+            z = cache["enc"]["patches"] @ t["w_mask_proj"].T
+            d_a = d_a + ((t["e_mask"].T[:, None, :] - z) * d_em).sum(axis=-1)
         cls = cache["cls"]
         if c.fusion in ("max", "mean"):
             d_t, d_f = self._two_heads_backward(d_a, cls, grads)

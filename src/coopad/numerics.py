@@ -98,7 +98,7 @@ class GruStack:
         # one draw in the order of per-layer (wx, wh) draws, with their bytes
         self.w = rng.uniform(-bound, bound, size=(layers, 2, 3 * hidden, hidden))
         self.b = np.zeros((layers, 2, 3 * hidden))
-        self.hidden, self.name = hidden, name
+        self.name = name
 
     @property
     def layers(self):
@@ -123,13 +123,7 @@ class GruStack:
         float32.
         """
         inputs = np.asarray(inputs, dtype=np.float64)
-        if inputs.ndim != 3:
-            raise ValueError("gru forward expects (steps, batch, dim) input")
         steps, batch, hdim = inputs.shape
-        if steps < 1:
-            raise ValueError("sequence length must be >= 1")
-        if hdim != self.hidden:
-            raise ValueError(f"input dim {hdim} != hidden {self.hidden}")
         layers = len(self.w)
         dtype = np.float64 if keep_cache else np.float32
         waves = steps + layers - 1
@@ -207,12 +201,8 @@ class GruStack:
         names `tensors` gives and returns the input gradients.
         """
         layers = len(self.w)
-        if len(cache) != layers:
-            raise ValueError("cache depth does not match layer count")
         d = np.asarray(grad_outputs, dtype=np.float64)
         steps, batch, hdim = cache[0]["inputs"].shape
-        if d.shape != (steps, batch, hdim):
-            raise ValueError("grad_outputs shape does not match cached forward")
         wx, wh = self.w[:, 0], self.w[:, 1]
         # the input-gate gradients of every layer and step, contiguous per
         # layer for the reductions after the loop, and their wave view
@@ -306,17 +296,14 @@ class AdamState:
 
 
 def adam_step(params, grads, state, lr):
-    """In-place bias-corrected Adam update over a dict of tensors."""
-    if lr <= 0:
-        raise ValueError("learning rate must be positive")
+    """In-place bias-corrected Adam update over a dict of tensors; grads
+    holds a gradient of each tensor's shape under its name."""
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
     for k, p in params.items():
         g = grads[k]
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape mismatch for {k}: {g.shape} vs {p.shape}")
         m = state.m[k]
         v = state.v[k]
         m *= b1

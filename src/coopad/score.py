@@ -132,8 +132,9 @@ def write_scores_csv(path, series):
 
 def _score_rows(chunk, lineno, path):
     """(scores, smoothed) float64 of `chunk`, the scores CSV text of whole
-    lines that follow line `lineno`, parsed in one pass; when that fails, a
-    per-line pass finds the first bad line and raises DataError naming it."""
+    lines that follow line `lineno`, parsed in one pass; every field, the
+    index too, must be a number. When that fails, a per-line pass finds the
+    first bad line and raises DataError naming it."""
     text = chunk if chunk.endswith("\n") else chunk + "\n"
     n = text.count("\n")
     raw = np.frombuffer(text.encode(), dtype=np.uint8)
@@ -141,15 +142,16 @@ def _score_rows(chunk, lineno, path):
         if raw[(raw == ord(",")) | (raw == ord("\n"))].tobytes() != b",,\n" * n:
             raise ValueError("a line without two commas")
         fields = text.replace("\n", ",").split(",")
-        return (np.fromiter(map(float, fields[1::3]), np.float64, n),
-                np.fromiter(map(float, fields[2::3]), np.float64, n))
+        rows = np.fromiter(map(float, fields), np.float64, 3 * n).reshape(n, 3)
+        return rows[:, 1], rows[:, 2]
     except ValueError:
         for i, line in enumerate(io.StringIO(chunk), start=lineno + 1):
             parts = line.split(",")
             try:
                 if len(parts) != 3:
                     raise ValueError(f"{len(parts)} fields, expected 3")
-                float(parts[1]), float(parts[2])
+                for part in parts:
+                    float(part)
             except ValueError as e:
                 raise DataError(f"{path}: line {i}: {e}") from None
         raise

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .augment import KINDS, distort
-from .data import DataError, make_windows, window_origins
+from .data import make_windows, window_origins
 from .numerics import AdamState, adam_step
 
 PROB_CLAMP = 1e-7
@@ -128,12 +128,11 @@ def train_epoch(train_values, period, model, tcfg, adam, rng):
     """One pass over the train region: fresh window phase, shuffled batches,
     one `distort` call per window of the batch's copy, one Adam step per
     batch. A patch is labelled 1 iff the window's distorted interval
-    overlaps it. Returns the epoch-mean LossBreakdown."""
+    overlaps it. Returns the epoch-mean LossBreakdown; a region shorter than
+    T raises window_origins' DataError."""
     c = model.config
     T, P = c.T, c.P
     kinds = [k for k in KINDS if k not in tcfg.exclude_kinds]
-    if len(train_values) < T:
-        raise DataError(f"train region ({len(train_values)}) shorter than window T={T}")
     phase = int(rng.integers(0, T)) if len(train_values) > T else 0
     if phase > len(train_values) - T:
         phase = 0

@@ -164,6 +164,17 @@ class TestDetectEval:
         assert f"{scores}: {message}" in r.output
         assert "Traceback" not in r.output
 
+    def test_eval_non_numeric_index(self, dataset, tmp_path):
+        # a row is three numbers: the index field is parsed too
+        scores = tmp_path / "s.csv"
+        scores.write_text("index,score,smoothed\nabc,1.0,2.0\n"
+                          + "".join(f"{i},0.5,0.5\n" for i in range(1, 800)))
+        r = CliRunner().invoke(main, ["eval", "--scores", str(scores),
+                                      "--data", dataset["path"]])
+        assert r.exit_code == 3, r.output
+        assert (f"error: {scores}: line 2: could not convert string to float: "
+                f"'abc'") in r.output
+
     @pytest.mark.parametrize("value", ["nan", "-inf"])
     @pytest.mark.parametrize("aggregate", [False, True], ids=["single", "aggregate"])
     def test_eval_non_finite_score(self, dataset, tmp_path, value, aggregate):

@@ -395,6 +395,7 @@ class TestOneRanking:
         rep = evaluate(scores, labels)
         for got, want in ((rep.f1, sorted_f1(scores, labels)),
                           (rep.auc_pr, sorted_range_auc_pr(scores, labels, 0.0)),
+                          (rep.auc_pr, auc_pr(scores, labels)),  # VUS sweep's buffer 0
                           (rep.r_auc_pr, sorted_range_auc_pr(scores, labels)),
                           (rep.vus_pr, sorted_vus_pr(scores, labels))):
             assert bits(got) == bits(want), (got, want)

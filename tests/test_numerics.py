@@ -130,11 +130,6 @@ class TestGruForward:
         assert np.all(np.abs(out) < 1.0)
         assert np.all(np.isfinite(out))
 
-    def test_shape_errors(self):
-        stack = GruStack(3, layers=1, rng=np.random.default_rng(0), name="gru")
-        with pytest.raises(ValueError):
-            stack.forward(np.zeros((4, 2, 5)))
-
     def test_no_cache_same_output_bytes(self):
         # a training pass gives the float64 plain loop's bytes, an inference
         # pass the float32 plain loop's, returned as float64
@@ -252,13 +247,6 @@ class TestGruBackward:
         stack.backward(cache, 2.0 * (out - target), grads)
         report = grad_check(loss, stack.tensors(), grads)
         assert max(report.values()) < 1e-4
-
-    def test_cache_mismatch(self):
-        stack = GruStack(3, layers=1, rng=np.random.default_rng(0), name="gru")
-        x = np.zeros((4, 1, 3))
-        _, cache = stack.forward(x)
-        with pytest.raises(ValueError):
-            stack_backward(stack, cache, np.zeros((3, 1, 3)))
 
 
 def oracle_sigmoid(x):
@@ -440,12 +428,6 @@ class TestAdam:
         # adam oscillates near the optimum, so check decay of the envelope
         assert max(traj[150:]) < 0.2 * max(traj[:50])
         assert traj[-1] < 0.05
-
-    def test_shape_mismatch(self):
-        p = {"w": np.zeros((2, 2))}
-        st = AdamState(p)
-        with pytest.raises(ValueError):
-            adam_step(p, {"w": np.zeros((2, 3))}, st, lr=0.1)
 
 
 class TestGradCheck:

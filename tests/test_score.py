@@ -222,7 +222,8 @@ class TestDetect:
 
 
 def oracle_read_scores_csv(path):
-    """The line-by-line loop read_scores_csv ran before it parsed chunks."""
+    """The line-by-line loop read_scores_csv ran before it parsed chunks,
+    which checks that the index field is a number too."""
     scores, smoothed = [], []
     with open(path, encoding="utf-8") as f:
         f.readline()
@@ -231,6 +232,7 @@ def oracle_read_scores_csv(path):
             try:
                 if len(parts) != 3:
                     raise ValueError(f"{len(parts)} fields, expected 3")
+                float(parts[0])
                 scores.append(float(parts[1]))
                 smoothed.append(float(parts[2]))
             except ValueError as e:
@@ -246,7 +248,7 @@ def big_scores_text(rows):
     spell = [repr, lambda v: f" {v:.3e}", lambda v: f"{v:.10g}\t", str]
     lines = [f"{i},{spell[i % 4](v)},{spell[(i + 1) % 4](-v)}"
              for i, v in enumerate(values.tolist())]
-    lines[7] = "x,inf,-0.0"  # eval never read the index column
+    lines[7] = "7.0,inf,-0.0"  # any number is an index
     text = "\n".join(lines)
     return "index,score,smoothed\r\n" + text[: len(text) // 2].replace("\n", "\r\n") \
         + text[len(text) // 2:]
@@ -264,9 +266,9 @@ class TestScoresCsv:
 
     # two then four fields hold as many fields as two good rows
     @pytest.mark.parametrize("row", ["1,2", "1,2,3,4", "1,2\n3,4,5,6", "", "1,0.5,1e",
-                                     "1,abc,0.5"],
+                                     "1,abc,0.5", "abc,1.0,2.0"],
                              ids=["two_fields", "four_fields", "two_then_four_fields",
-                                  "blank", "bad_smoothed", "bad_score"])
+                                  "blank", "bad_smoothed", "bad_score", "bad_index"])
     def test_bad_row_in_third_chunk_names_its_line(self, tmp_path, row):
         p = tmp_path / "s.csv"
         text = big_scores_text(60_000)

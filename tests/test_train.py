@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -197,3 +198,102 @@ class TestTrainingLog:
         lines = p.read_text().splitlines()
         assert lines[0] == "epoch,bce,mse,total,seconds"
         assert lines[1].startswith("0,0.5,0.25,3,")
+
+
+# SHA-256 over the losses (bce, mse, total) and every gradient's name and
+# bytes, in tensor order, of one training step of a seed-1 model, as this
+# NumPy and OpenBLAS build computes them (one and two BLAS threads agree).
+# They pin the training pass's bytes: a change that moves them re-records
+# them on purpose and says why. feat_gate fusion is not pinned.
+STEP_CONFIGS = {"default": {}, "hard": {"masking": "hard"}, "random": {"masking": "random"},
+                "grating": {"masking": "grating"},
+                "mean-step": {"fusion": "mean", "granularity": "step"}}
+STEP_DIGESTS = {
+    ("default", 37, 1):
+        "5d348bfdf8f6b1fa97de03f5b7c2877341a8dc1f2b4577219d9e2b5ffdbef9f2",
+    ("default", 37, 16):
+        "0ec54db21cb037a256801c94e8f3745236960b0d2b11fda08ed1e6486e9811eb",
+    ("default", 50, 1):
+        "46ff0092a0c0c56f5dc115582b596243344290da78171f37cc0899dbb735952d",
+    ("default", 50, 16):
+        "8eb2e28fb61a233d16bb211cf243a7d9e5a712d09961c64ebe3ff2bee4367678",
+    ("default", 500, 1):
+        "dcc7c54bbd043a7bf5f2bc050ee330655ef740c5b9c03d5af18f0793f538d787",
+    ("default", 500, 16):
+        "875be15787f37f55dfd662ea6d23da80815e5006204763a296f5f6af1afcb4bb",
+    ("hard", 37, 1):
+        "f746b89839cd2d991dbe238bf0d40d5bb7f6980abfe9cb6572da29c89cc26095",
+    ("hard", 37, 16):
+        "a74b83ce225661d3eabada5a0b22a10f861b32c5a6e8d9271a3ae45698cbc00b",
+    ("hard", 50, 1):
+        "5615188791a356575a4f89e0ab56dc7ca0a7b51db884450199a9911251a6b8ed",
+    ("hard", 50, 16):
+        "cbbdbef4ce3e81a860e70a2d57825815eb4b3ba3e9de4389e25daff01a4df446",
+    ("hard", 500, 1):
+        "b8f71d3e5dd46d2f350d11d4f1ac7e37d922e7987a1e6210f95b77c3987143f0",
+    ("hard", 500, 16):
+        "a0125fc1dfef8f3b31508c5a25c1835c02720251d3bca00d1d94beb351fe0724",
+    ("random", 37, 1):
+        "33580a44ddc7a0e51e43c4613006cf9389711c64314573cf303107b95f9f4e1e",
+    ("random", 37, 16):
+        "2e4e041bdffeef46f9cadd4a29805371e89f9a858cc8e615c87d0f695cbb2cdb",
+    ("random", 50, 1):
+        "e8cedeb6e1628bae6ebbef6474f9c016247bb97306514a65131e6991ddf22da6",
+    ("random", 50, 16):
+        "b528448034b1647892b49e95fb9125e010406516c67ca20b3f448c6d737fef5a",
+    ("random", 500, 1):
+        "f7ba7dfb20cc69cb2495bbc7e34495505cb7e60c4f2fa8d3a72f7c02ab7ff59e",
+    ("random", 500, 16):
+        "0334f79fcc574b1a8e34ea75d5e8a4b85bc8c5330264518b9d0e4462f12e098a",
+    ("grating", 37, 1):
+        "263d5375785ab971905b885e62d89d2c19f3b3f6a6221deece31486de6cad7a9",
+    ("grating", 37, 16):
+        "ab0fc95578746cd9ce96a9c988a7407664fb3860bb9bba9c62d28437075cdb02",
+    ("grating", 50, 1):
+        "bdeb74e2a8d6e1f189778f2b7b4158f2cc91f6c7c675ba4c833dbffb1003e284",
+    ("grating", 50, 16):
+        "d523c959e764d1ef435372918a41c20b82cb3335c90aa9e48e6000dbed0918d4",
+    ("grating", 500, 1):
+        "0b0fb4796ac7395cb1e5f824a91c0b433be1fd659bbcf6c3846f29a176818edf",
+    ("grating", 500, 16):
+        "2a765bad68074f245a30c58bd67af51ccc48927e55ac44b3b6f4db4b2f478f51",
+    ("mean-step", 37, 1):
+        "2e65d63085f1294d85d2dfa3ef079692108ee67a9e0b6ec345cfaec7070ae849",
+    ("mean-step", 37, 16):
+        "b16ec7eb7a822efeec8b84587b11fbc122e7893924324b3e9aa31236aad3fa98",
+    ("mean-step", 50, 1):
+        "46fd625000be453b5a3422c5e3f14843fdbc9a900b94f43f72c45c9a124b274c",
+    ("mean-step", 50, 16):
+        "d4342ab479debc447ca5854afd4bfe06cdcc0d026d2323bb86936941ac7e9e3f",
+    ("mean-step", 500, 1):
+        "4357d4f000fbdc42ccfa7afba8ae4911f6b8dc7c4ebf78d94d7a9007c54d9603",
+    ("mean-step", 500, 16):
+        "490730c1283d0bf99312a93cb9cbb1de1c92d49699c0be4e9a4b4b541495f463",
+}
+
+
+def step_digest(model, B):
+    """Digest of one loss_and_grads step on B noisy sine windows with random
+    patch labels; the step's rng (random and grating masks) is seeded by B."""
+    c = model.config
+    rng = np.random.default_rng(B)
+    t = np.arange(c.T)
+    x_clean = np.sin(2 * np.pi * (t[None, :] + rng.integers(0, c.T, size=(B, 1)))
+                     / (c.T // 4)) + rng.normal(0, 0.1, size=(B, c.T))
+    x_dist = x_clean + rng.normal(0, 0.3, size=(B, c.T))
+    labels = (rng.random((B, c.N)) < 0.3).astype(np.int8)
+    loss, grads = loss_and_grads(model, x_dist, x_clean, labels, rng=rng)
+    h = hashlib.sha256(np.array([loss.bce, loss.mse, loss.total]).tobytes())
+    for name in model.tensors:
+        h.update(name.encode())
+        h.update(grads[name].tobytes())
+    return h.hexdigest()
+
+
+class TestTrainingStepGolden:
+    @pytest.mark.parametrize("period", [37, 50, 500])
+    @pytest.mark.parametrize("name", list(STEP_CONFIGS))
+    def test_gradients_and_losses_golden(self, name, period):
+        model = CoopModel(CoopConfig.for_period(period, **STEP_CONFIGS[name]), seed=1)
+        for B in (1, 16):
+            assert step_digest(model, B) == STEP_DIGESTS[name, period, B], B

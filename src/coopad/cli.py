@@ -40,6 +40,7 @@ import os
 import resource
 import sys
 import time
+import tracemalloc
 
 import click
 import numpy as np
@@ -330,7 +331,9 @@ BENCH_WARMUP, BENCH_STEPS = 20, 50  # training steps run, then timed
 def _train_step_rows(seed):
     """Median forward (model.forward with keep_cache) and backward
     (model.backward) milliseconds of a T = 200 training step at each
-    BENCH_STEP_BATCHES size, over BENCH_STEPS steps after BENCH_WARMUP."""
+    BENCH_STEP_BATCHES size, over BENCH_STEPS steps after BENCH_WARMUP, and
+    the tracemalloc peak of one more, untimed, step: the timed steps run
+    untraced."""
     model = CoopModel(CoopConfig.for_period(BENCH_STEP_PERIOD), seed=seed)
     c = model.config
     rng = np.random.default_rng(seed)
@@ -347,9 +350,16 @@ def _train_step_rows(seed):
             model.backward(result.cache, d_ac, d_xr)
             times.append((t1 - t0, time.perf_counter() - t1))
         forward_ms, backward_ms = np.median(times[BENCH_WARMUP:], axis=0) * 1e3
+        del result
+        tracemalloc.start()
+        try:
+            model.backward(model.forward(x, keep_cache=True).cache, d_ac, d_xr)
+            peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
         rows.append({"T": c.T, "batch": batch, "forward_ms": forward_ms,
-                     "backward_ms": backward_ms, "steps": BENCH_STEPS,
-                     "warmup": BENCH_WARMUP})
+                     "backward_ms": backward_ms, "peak_mb": peak_mb,
+                     "steps": BENCH_STEPS, "warmup": BENCH_WARMUP})
     return rows
 
 
@@ -358,12 +368,13 @@ def _train_step_rows(seed):
 @click.option("--period", default=50, type=click.IntRange(min=1), show_default=True)
 @click.option("--seed", default=0, type=click.IntRange(min=0), show_default=True)
 @click.option("--json", "json_path", default=None, type=click.Path(dir_okay=False),
-              help="Also time T = 200 training steps, and write the measurements "
-                   "and the machine they ran on as JSON")
+              help="Also time T = 200 training steps and trace one step's peak "
+                   "memory, and write the measurements and the machine they ran "
+                   "on as JSON")
 def cmd_bench(points, period, seed, json_path):
     """Measure detect throughput (the median of BENCH_REPEATS runs) and peak
     memory on a generated series at default config; with --json also the
-    forward and backward time of a training step."""
+    forward and backward time of a training step and its tracemalloc peak."""
     if json_path is not None and not os.path.isdir(os.path.dirname(json_path) or "."):
         raise DataError(f"{json_path}: no such directory")
     values, _ = synth.gen_periodic(points, period, noise_std=0.05,
@@ -391,7 +402,8 @@ def cmd_bench(points, period, seed, json_path):
         for step in steps:
             click.echo(f"train step T={step['T']} batch={step['batch']}: "
                        f"forward {step['forward_ms']:.2f} ms, backward "
-                       f"{step['backward_ms']:.2f} ms (median of {step['steps']})")
+                       f"{step['backward_ms']:.2f} ms (median of {step['steps']}), "
+                       f"peak {step['peak_mb']:.1f} MB")
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         row = {"points": points, "period": period, "T": config.T, "params": n_params,
                "elapsed_s": elapsed, "points_per_s": throughput,

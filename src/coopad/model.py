@@ -20,8 +20,12 @@ output die before the residual encode, and the residual encode subtracts
 each branch's states from the window's encoding in place as soon as they
 are formed, so at T = 2000 it peaks at ~4.6 (N, B, H) float64 tensors
 (tracemalloc). A training pass caches no STFT features and not the
-blend's patch projection z, and a training step at T = 200, B = 128 peaks
-at ~73 MB. The analysis window is always boxcar.
+blend's patch projection z. Its backward drops each model-level gradient,
+and the z it recomputes, at its last read, so none of them is held while
+the first-pass encoders run backward, and each GRU backward writes its
+gate gradients over its cache's gates (`GruStack.backward`); a training
+step at T = 200, B = 128 peaks at ~62 MB besides the dense operator
+(tracemalloc). The analysis window is always boxcar.
 In every configuration an inference row has the same bytes in a batch of
 any size: `forward` alone runs a one-window batch as two, and the heads'
 and the feat_gate gate's products are einsums, which do not round by batch
@@ -442,34 +446,44 @@ class CoopModel:
         du_t2, du_f2 = self._encode_backward(cache["enc_r"], -d_ht_tilde, -d_hf_tilde,
                                              grads)
         d_xr = (du_t2 @ t["w_time_patch"]).transpose(1, 0, 2).reshape(B, c.T)
+        del du_t2
         d_fpat_r = du_f2 @ t["w_freq_patch"]                        # (N,B,2KP)
+        del du_f2
         d_spec_r = d_fpat_r.reshape(n, B, p, 2 * c.K).transpose(1, 3, 0, 2) \
                            .reshape(B, 2 * c.K * c.T)
+        del d_fpat_r
         d_xr += d_spec_r @ self.stft_mat
+        del d_spec_r
         d_xr += d_xr_ext
 
         # reconstruction decoder + GRU
         d_xrp = d_xr.reshape(B, n, p).transpose(1, 0, 2)
         grads["w_out"] += np.einsum("nbp,nbh->ph", d_xrp, cache["r_out"])
         d_rout = d_xrp @ t["w_out"]
+        del d_xr, d_xrp
         d_em = self.gru_recon.backward(cache["cache_r"], d_rout, grads)
+        del d_rout
 
         # mask blend
         coeff = cache["coeff"]
         grads["e_mask"] += np.einsum("nbh->nh", coeff[..., None] * d_em).T
         d_z = (1.0 - coeff)[..., None] * d_em
         grads["w_mask_proj"] += np.einsum("nbh,nbp->hp", d_z, cache["enc"]["patches"])
+        del d_z
 
         # fusion + branch heads
         d_a = 0.5 * d_ac
         if c.masking == "soft":  # the mask weights are the fused probabilities
             z = cache["enc"]["patches"] @ t["w_mask_proj"].T
             d_a = d_a + ((t["e_mask"].T[:, None, :] - z) * d_em).sum(axis=-1)
+            del z
+        del d_em
         cls = cache["cls"]
         if c.fusion in ("max", "mean"):
             d_t, d_f = self._two_heads_backward(d_a, cls, grads)
             d_ht_tilde += d_t
             d_hf_tilde += d_f
+            del d_t, d_f
         else:
             d_hc = self._head_backward(d_a, cls["head_c"], grads)
             if c.fusion == "feat_add":
@@ -486,6 +500,8 @@ class CoopModel:
                 d_cat = d_gpre @ t["w_gate"]
                 d_ht_tilde += d_cat[..., :c.H]
                 d_hf_tilde += d_cat[..., c.H:]
+                del d_g, d_gpre, d_cat
+            del d_hc
 
         # first-pass encoders
         self._encode_backward(cache["enc"], d_ht_tilde, d_hf_tilde, grads)

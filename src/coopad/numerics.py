@@ -35,12 +35,17 @@ and writes contiguous blocks. The cache is a `StackCache`: per layer a
 dict of (steps, batch, H) views (inputs, h, z, r, n, ghn, indexable by
 step) plus the buffers, which the backward walks lane by lane in reverse,
 top layer first; each lane's input gradient is one product per step that
-feeds the lane below at the next one. The backward keeps each layer's
-input-gate gradients dgx and forms the weight and bias gradients after the
-loop in ascending time, one layer at a time: those of wx and bx, then,
-with the n block scaled by r in place, which makes dgx the state-gate
-gradients dgh, those of wh and bh. The top layer's states are returned as
-a view of the state buffer.
+feeds the lane below at the next one. The backward writes each step's gate
+gradients into the cache slots they were computed from, once their last
+read is done: dz|dr over z|r, dn_pre over n and dn_pre * r over ghn, and
+assembles each wave step's dgx and dgh rows for its two products in small
+reused buffers. After the loop it forms the weight and bias gradients in
+ascending time, one layer at a time, in one (steps, batch, 3H) buffer all
+layers share: dgx from the z, r and n slots gives those of wx and bx, then
+the n block from the ghn slot makes it the state-gate gradients dgh, whose
+products give those of wh and bh. So a backward uses up its cache: a
+second backward on it raises ValueError. The top layer's states are
+returned as a view of the state buffer.
 
 An inference pass keeps two wave rows, casts each step's float64 input
 row into its row and writes the top layer's states straight into the
@@ -198,19 +203,21 @@ class GruStack:
 
         grad_outputs matches the forward outputs (steps, batch, hidden).
         Adds each layer's weight and bias gradients into grads under the
-        names `tensors` gives and returns the input gradients.
+        names `tensors` gives and returns the input gradients. Uses up cache
+        (`StackCache`).
         """
+        if cache.used:
+            raise ValueError("this StackCache went through a backward already: "
+                             "its gate slots now hold gradients")
+        cache.used = True
         layers = len(self.w)
         d = np.asarray(grad_outputs, dtype=np.float64)
         steps, batch, hdim = cache[0]["inputs"].shape
         wx, wh = self.w[:, 0], self.w[:, 1]
-        # the input-gate gradients of every layer and step, contiguous per
-        # layer for the reductions after the loop, and their wave view
-        dgx_l = np.empty((layers * steps, batch, 3 * hdim))
-        dgx_w = _blocks(dgx_l, (steps + layers - 1, layers), (1, steps - 1))
-        dgh = np.empty((layers, batch, 3 * hdim))
+        # each wave step's input- and state-gate gradient rows, lane by lane
+        dgx, dgh = (np.empty((layers, batch, 3 * hdim)) for _ in range(2))
         dzr, omzr = (np.empty((layers, 2, batch, hdim)) for _ in range(2))
-        dn, nn = (np.empty((layers, batch, hdim)) for _ in range(2))
+        nn = np.empty((layers, batch, hdim))
         # d_up[l + 1] is the gradient reaching lane l's output at its step;
         # dh_next holds each lane's dh, then dh_prev, then the next dh_next
         d_up = np.empty((layers + 1, batch, hdim))
@@ -221,10 +228,11 @@ class GruStack:
             k = hi - lo
             if hi == layers:
                 d_up[layers] = d[s - layers + 1]
+            # read, then overwritten with dz|dr, dn_pre and dn_pre * r
             zr, n, ghn = cache.zr[s, lo:hi], cache.n[s, lo:hi], cache.ghn[s, lo:hi]
             z, r = zr[:, 0], zr[:, 1]
             hprev = cache.wave[s, lo + 1:hi + 1]
-            dg_x, dg_h, d_zr, om_zr = dgx_w[s, lo:hi], dgh[:k], dzr[:k], omzr[:k]
+            dg_x, dg_h, d_zr, om_zr = dgx[:k], dgh[:k], dzr[:k], omzr[:k]
             dz, dr = d_zr[:, 0], d_zr[:, 1]
             # every operation below keeps the operands and order of
             # dh = g + dh_next; dz = dh * (hprev - n); dn = dh * (1 - z);
@@ -235,28 +243,34 @@ class GruStack:
             np.subtract(1.0, zr, out=om_zr)
             np.subtract(hprev, n, out=dz)
             np.multiply(d_h, dz, out=dz)
-            dn_pre = np.multiply(d_h, om_zr[:, 0], out=dn[:k])  # dn, until scaled
-            dh_prev = np.multiply(d_h, z, out=d_h)
             n_n = np.multiply(n, n, out=nn[:k])
+            dn_pre = np.multiply(d_h, om_zr[:, 0], out=n)  # dn, until scaled
+            dh_prev = np.multiply(d_h, z, out=d_h)
             np.subtract(1.0, n_n, out=n_n)
             dn_pre *= n_n
             np.multiply(dn_pre, ghn, out=dr)
+            np.multiply(dn_pre, r, out=ghn)
             d_zr *= zr
-            d_zr *= om_zr
-            dg_x[..., :hdim] = dz
-            dg_x[..., hdim:2 * hdim] = dr
+            np.multiply(d_zr, om_zr, out=zr)  # z and r now hold their gradients
+            dg_x[..., :hdim] = z
+            dg_x[..., hdim:2 * hdim] = r
             dg_x[..., 2 * hdim:] = dn_pre
             dg_h[..., :2 * hdim] = dg_x[..., :2 * hdim]
-            dg_h[..., 2 * hdim:] = np.multiply(dn_pre, r, out=dn_pre)
+            dg_h[..., 2 * hdim:] = ghn
             np.matmul(dg_x, wx[lo:hi], out=d_up[lo:hi])
             dh_prev += np.matmul(dg_h, wh[lo:hi], out=n_n)  # the lanes' next dh_next
             if lo == 0:
                 dx[s] = d_up[0]
+        # one layer's gate gradients at a time, in ascending time, for the
+        # weight and bias reductions
+        dg = np.empty((steps, batch, 3 * hdim))
         for l, lc in enumerate(cache):
-            dg = dgx_l[l * steps:(l + 1) * steps]
+            # dgx = [dz | dr | dn_pre] from the z, r and n slots
+            dg[..., :hdim], dg[..., hdim:2 * hdim] = lc["z"], lc["r"]
+            dg[..., 2 * hdim:] = lc["n"]
             dwx = np.matmul(dg.transpose(0, 2, 1), lc["inputs"]).sum(axis=0)
             dbx = dg.sum(axis=(0, 1))
-            dg[..., 2 * hdim:] *= lc["r"]  # dgx becomes dgh: dn_pre * r
+            dg[..., 2 * hdim:] = lc["ghn"]  # dgx becomes dgh: dn_pre * r
             # h[t-1] is zero at t = 0, so the first step adds nothing to dwh
             dwh = np.matmul(dg[1:].transpose(0, 2, 1), lc["h"][:-1]).sum(axis=0)
             dbh = dg.sum(axis=(0, 1))
@@ -268,11 +282,15 @@ class GruStack:
 class StackCache(list):
     """A training forward's cache: one dict per layer, whose inputs, h, z,
     r, n and ghn are (steps, batch, .) views into the flat wave buffers
-    this object also holds for the backward to walk lane by lane."""
+    this object also holds for the backward to walk lane by lane. A
+    backward uses the cache up: it overwrites z, r, n and ghn with their
+    gradients and marks the cache used, and a second backward on it raises
+    ValueError rather than read those gradients as gates."""
 
     def __init__(self, layer_caches, wave, zr, n, ghn):
         super().__init__(layer_caches)
         self.wave, self.zr, self.n, self.ghn = wave, zr, n, ghn
+        self.used = False
 
 
 def _blocks(buf, counts, steps):

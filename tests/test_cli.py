@@ -504,6 +504,9 @@ class TestBench:
         assert [(s["T"], s["batch"]) for s in row["train_steps"]] == [(200, 16), (200, 128)]
         for s in row["train_steps"]:
             assert s["forward_ms"] > 0 and s["backward_ms"] > 0
+            # one training step's buffers: the caches alone are megabytes
+            assert 1 < s["peak_mb"] < 500
+            assert f"peak {s['peak_mb']:.1f} MB" in r.output
             assert s["steps"] >= 50 and s["warmup"] >= 20
             assert (f"train step T=200 batch={s['batch']}: forward {s['forward_ms']:.2f} ms"
                     in r.output)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -189,11 +191,13 @@ class TestGruBackward:
             layer["bh"][:] = rng.normal(size=layer["bh"].shape)
         x = np.random.default_rng(18).normal(size=(steps, batch, 6))
         out, cache = stack.forward(x)
+        # the backward overwrites the gate slots, so the oracle reads copies
+        layer_caches = [{k: v.copy() for k, v in lc.items()} for lc in cache]
         d_out = np.random.default_rng(19).normal(size=out.shape)
         dx, grads = stack_backward(stack, cache, d_out)
         d = d_out
         for i in range(1, -1, -1):
-            d, ref = per_step_gru_backward(stack.layers[i], cache[i], d)
+            d, ref = per_step_gru_backward(stack.layers[i], layer_caches[i], d)
             for k, v in ref.items():
                 scale = np.abs(v).max()
                 assert np.abs(grads[i][k] - v).max() <= 1e-12 * scale, (i, k)
@@ -231,6 +235,32 @@ class TestGruBackward:
         # parameter grads for the n gate input weight
         dh_dwxn = (1 - z) * (1 - n * n) * 0.7
         assert np.isclose(grads[0]["wx"][2, 0], dh_dwxn, atol=1e-12)
+
+    def test_used_cache_raises(self):
+        rng = np.random.default_rng(15)
+        stack = GruStack(3, layers=2, rng=rng, name="gru")
+        out, cache = stack.forward(np.random.default_rng(16).normal(size=(4, 2, 3)))
+        stack_backward(stack, cache, np.ones_like(out))
+        with pytest.raises(ValueError, match="backward already"):
+            stack_backward(stack, cache, np.ones_like(out))
+
+    def test_peak_memory_holds_one_layer_of_gate_gradients(self):
+        # the gate gradients go into the cache's gate slots, and one
+        # (steps, batch, 3H) buffer serves every layer's weight reductions
+        layers, steps, batch, hdim = 3, 40, 64, 8
+        rng = np.random.default_rng(20)
+        stack = GruStack(hdim, layers=layers, rng=rng, name="gru")
+        out, cache = stack.forward(rng.normal(size=(steps, batch, hdim)))
+        d_out = rng.normal(size=out.shape)
+        grads = {k: np.zeros_like(v) for k, v in stack.tensors().items()}
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            stack.backward(cache, d_out, grads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 2 * steps * batch * 3 * hdim * 8
 
     def test_finite_difference(self):
         rng = np.random.default_rng(12)

@@ -126,8 +126,8 @@ def cmd_train(data_path, out_dir, seed, epochs, lr, batch, lam, hidden, layers,
         raise click.BadParameter(str(e), param_hint=["--lr", "--distortion-prob"]) from None
     series = _load_series(data_path, split)
     stats = train_stats(series)
-    norm = zscore(series.values, stats)
-    period = estimate_period(norm[: series.split]).period
+    norm = zscore(series.train, stats)
+    period = estimate_period(norm).period
     try:
         config = CoopConfig.for_period(
             period, P=patch, H=hidden, K=freq_bins, layers=layers, lam=lam,
@@ -140,7 +140,7 @@ def cmd_train(data_path, out_dir, seed, epochs, lr, batch, lam, hidden, layers,
     click.echo(f"dataset={series.name} period={period} T={config.T} "
                f"N={config.N} params={model.num_params()} "
                f"active_kinds={len(active)} ({','.join(active)})")
-    log = fit(norm[: series.split], period, model, tcfg)
+    log = fit(norm, period, model, tcfg)
     os.makedirs(out_dir, exist_ok=True)
     save_checkpoint(os.path.join(out_dir, "model.ckpt"),
                     model.config.block(), model.tensors)
@@ -232,7 +232,7 @@ def cmd_detect(run_dir, data_path, out_path, scoring, split):
     if split is None and data_path.endswith(".csv"):
         split = train_split
     series = _load_series(data_path, split)
-    test = zscore(series.values, stats)[series.split:]
+    test = zscore(series.values[series.split:], stats)
     try:
         result = score.detect(test, model, scoring=scoring)
     except FloatingPointError as e:

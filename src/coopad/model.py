@@ -5,11 +5,13 @@ Forward and backward are written by hand over the numerics module. All
 sequence tensors are (N patches, B windows, dim). A window and its
 reconstruction go through one encode path (`_encode`/`_encode_backward`):
 the residual pass re-encodes the reconstruction with the same time and
-frequency encoders. Both classification stages go through one two-head
-path (`_two_heads`/`_two_heads_backward`): the first on the encoded window,
-the second, with the shared head_resid at patch granularity and max fusion,
-on the difference between the window's and the reconstruction's encodings.
-Either way it yields (A_t, A_f, A) and, under max fusion, which head won.
+frequency encoders. Both classification stages, under every fusion and
+granularity, go through one path (`_classify`/`_classify_backward`): the
+first on the encoded window, the second, with the shared head_resid at
+patch granularity and max fusion, on the difference between the window's
+and the reconstruction's encodings. Either way it yields (A_t, A_f, A) and,
+under max fusion, which head won; its backward reads the fusion from the
+forward's cache.
 A forward with keep_cache=True is a training pass and runs in float64. An
 inference pass runs the five GRU recurrences in float32 (`GruStack.forward`)
 and everything around them in float64; its scores differ from a float64
@@ -33,14 +35,20 @@ shape as BLAS does.
 Ablation behavior is selected by four config flags: masking strategy,
 classification granularity, branch fusion and scoring; the default
 configuration is soft masking, patch granularity, max fusion, joint
-scoring. Only soft masking's weights are the fused probabilities, so
-`backward` alone decides, from config.masking, to pass the blend's gradient
-back into the classifier; it recomputes z for that. Hard masking thresholds
-at the mean plus three standard deviations of the fused probabilities of
-the last training batch; an inference forward of a hard-masking model that
-was never trained raises, as there is no calibrated threshold. `CoopConfig`
-is the one place that decides whether the settings are valid; nothing
-downstream checks them again.
+scoring. Granularity and fusion are read by `__init__`, for the head
+shapes (P rows per head at step granularity; a feature fusion's one head is
+head_time, and it has no head_freq), and by `forward`, which hands them to
+`_classify`; the classification cache carries them to the backward.
+Masking is read by `mask_coefficients`, by `forward` to calibrate hard
+masking's threshold, and by `backward`, which alone passes the blend's
+gradient back into the classifier, as only soft masking's weights are the
+fused probabilities; it recomputes z for that. Scoring is read by
+`score.detect`. Hard masking thresholds at the mean plus three standard
+deviations of the fused probabilities of the last training batch; an
+inference forward of a hard-masking model that was never trained raises,
+as there is no calibrated threshold. `CoopConfig` is the one place that
+decides whether the settings are valid; nothing downstream checks them
+again.
 
 The frequency branch's input is the per-patch STFT features times the
 frequency projection, taken as one product of each window's reflect-padded
@@ -210,13 +218,12 @@ class CoopModel:
         self.gru_freq = GruStack(c.H, c.layers, rng, "gru_freq")
         self.gru_recon = GruStack(c.H, c.layers, rng, "gru_recon")
         self._add_stack_tensors()
-        t["head_time"] = uniform_init(rng, 1, c.H)
-        t["head_freq"] = uniform_init(rng, 1, c.H)
+        rows = c.P if c.granularity == "step" else 1
+        t["head_time"] = uniform_init(rng, rows, c.H)  # the one head a feature fusion runs
+        if c.fusion in ("max", "mean"):
+            t["head_freq"] = uniform_init(rng, rows, c.H)
         t["head_resid"] = uniform_init(rng, 1, c.H)
         t["w_out"] = uniform_init(rng, c.P, c.H)
-        if c.granularity == "step":
-            t["head_step_time"] = uniform_init(rng, c.P, c.H)
-            t["head_step_freq"] = uniform_init(rng, c.P, c.H)
         if c.fusion == "feat_gate":
             t["w_gate"] = uniform_init(rng, c.H, 2 * c.H)
             t["b_gate"] = np.zeros(c.H)
@@ -270,7 +277,8 @@ class CoopModel:
             return ForwardResult(probs=probs, x_r=two.x_r[:1])
         ht_tilde, hf_tilde, enc = self._encode(xb, keep_cache)
 
-        a_t, a_f, a_fused, cls_cache = self._classify(ht_tilde, hf_tilde)
+        a_t, a_f, a_fused, cls_cache = self._classify(ht_tilde, hf_tilde, ("time", "freq"),
+                                                      c.granularity, c.fusion)
 
         if keep_cache and c.masking == "hard":
             self.hard_threshold = hard_mask_threshold(a_fused)
@@ -281,8 +289,8 @@ class CoopModel:
         # residual pass: encode the reconstruction with the same encoders,
         # classify the differences with one shared patch head, max-fused
         d_t, d_f, enc_r = self._encode(x_r, keep_cache, minus=(ht_tilde, hf_tilde))
-        _, _, a_r, resid_cache = self._two_heads(d_t, d_f, ("resid", "resid"),
-                                                 "patch", "max")
+        _, _, a_r, resid_cache = self._classify(d_t, d_f, ("resid", "resid"),
+                                                "patch", "max")
         a_c = 0.5 * (a_fused + a_r)
 
         probs = PatchProbabilities(time=a_t, freq=a_f, fused=a_fused,
@@ -354,56 +362,63 @@ class CoopModel:
             return x_r, {}
         return x_r, {"r_out": r_out, "cache_r": cache_r}
 
-    def _classify(self, ht_tilde, hf_tilde):
-        """Branch heads + fusion. Returns (A_t, A_f, A, cache)."""
-        c = self.config
-        t = self.tensors
-        if c.fusion in ("max", "mean"):
-            return self._two_heads(ht_tilde, hf_tilde, ("time", "freq"),
-                                   c.granularity, c.fusion)
-        cache = {}
-        if c.fusion == "feat_add":
-            hc = ht_tilde + hf_tilde
+    def _classify(self, f_t, f_f, names, granularity, fusion):
+        """Time and frequency features (N, B, H) to patch probabilities
+        (A_t, A_f, A, cache). Max and mean fusion run the heads head_<names>
+        and fuse their probabilities; under max cache["take_f"] marks where
+        the frequency head won. A feature fusion merges the features, by sum
+        (feat_add) or by a learned sigmoid gate (feat_gate), and runs the one
+        head head_<names[0]>, so A_t = A_f = A."""
+        cache = {"fusion": fusion}
+        if fusion in ("max", "mean"):
+            a_t, cache["head_t"] = self._head(f_t, names[0], granularity)
+            a_f, cache["head_f"] = self._head(f_f, names[1], granularity)
+            if fusion == "max":
+                take_f = cache["take_f"] = a_f >= a_t
+                return a_t, a_f, np.where(take_f, a_f, a_t), cache
+            return a_t, a_f, 0.5 * (a_t + a_f), cache
+        if fusion == "feat_add":
+            f_c = f_t + f_f
         else:
-            cat = np.concatenate([ht_tilde, hf_tilde], axis=-1)
-            g = sigmoid(np.einsum("nbj,hj->nbh", cat, t["w_gate"]) + t["b_gate"])
-            hc = g * ht_tilde + (1.0 - g) * hf_tilde
-            cache["g"], cache["cat"] = g, cat
-        a, cache["head_c"] = self._head(hc, "time", c.granularity)
+            t = self.tensors
+            cat = cache["cat"] = np.concatenate([f_t, f_f], axis=-1)
+            g = cache["g"] = sigmoid(np.einsum("nbj,hj->nbh", cat, t["w_gate"]) + t["b_gate"])
+            f_c = g * f_t + (1.0 - g) * f_f
+        a, cache["head_t"] = self._head(f_c, names[0], granularity)
         return a, a, a, cache
 
-    def _two_heads(self, f_t, f_f, names, granularity, fusion):
-        """A time and a frequency head over features (N, B, H), fused by the
-        max or the mean of their probabilities. Returns (A_t, A_f, A, cache);
-        under max fusion cache["take_f"] marks where the frequency head won."""
-        a_t, head_t = self._head(f_t, names[0], granularity)
-        a_f, head_f = self._head(f_f, names[1], granularity)
-        cache = {"fusion": fusion, "head_t": head_t, "head_f": head_f}
-        if fusion == "max":
-            take_f = cache["take_f"] = a_f >= a_t
-            return a_t, a_f, np.where(take_f, a_f, a_t), cache
-        return a_t, a_f, 0.5 * (a_t + a_f), cache
-
-    def _two_heads_backward(self, d_a, cache, grads):
-        """Backward of _two_heads; returns the feature gradients (d_f_t, d_f_f)."""
-        if cache["fusion"] == "max":
-            take_f = cache["take_f"]
-            d_af = np.where(take_f, d_a, 0.0)
-            d_at = np.where(take_f, 0.0, d_a)
-        else:
-            d_af = d_at = 0.5 * d_a
-        return (self._head_backward(d_at, cache["head_t"], grads),
-                self._head_backward(d_af, cache["head_f"], grads))
+    def _classify_backward(self, d_a, cache, grads):
+        """Backward of _classify, by the fusion its cache records; returns
+        the feature gradients (d_f_t, d_f_f)."""
+        fusion = cache["fusion"]
+        if fusion in ("max", "mean"):
+            if fusion == "max":
+                take_f = cache["take_f"]
+                d_at, d_af = np.where(take_f, 0.0, d_a), np.where(take_f, d_a, 0.0)
+            else:
+                d_at = d_af = 0.5 * d_a
+            return (self._head_backward(d_at, cache["head_t"], grads),
+                    self._head_backward(d_af, cache["head_f"], grads))
+        d_c = self._head_backward(d_a, cache["head_t"], grads)
+        if fusion == "feat_add":
+            return d_c, d_c
+        t = self.tensors
+        g, cat = cache["g"], cache["cat"]
+        h = self.config.H
+        d_gpre = d_c * (cat[..., :h] - cat[..., h:]) * g * (1.0 - g)  # f_t - f_f
+        grads["w_gate"] += np.einsum("nbh,nbj->hj", d_gpre, cat)
+        grads["b_gate"] += d_gpre.sum(axis=(0, 1))
+        d_cat = d_gpre @ t["w_gate"]
+        return d_c * g + d_cat[..., :h], d_c * (1.0 - g) + d_cat[..., h:]
 
     def _head(self, feats, name, granularity):
         """Per-patch probabilities (N, B) from features (N, B, H) through the
-        weight head_<name> (head_step_<name> at step granularity): the mean
-        of sigmoid(feats @ weight.T) over the weight's rows (one, or P at
-        step granularity), by einsum: a BLAS gemv rounds by batch shape. At
-        window granularity the features are pooled over patches first and
-        the window's probability repeated over them. The cache keeps what
-        _head_backward reads."""
-        w = f"head_step_{name}" if granularity == "step" else f"head_{name}"
+        weight head_<name>: the mean of sigmoid(feats @ weight.T) over the
+        weight's rows (one, or P at step granularity), by einsum: a BLAS gemv
+        rounds by batch shape. At window granularity the features are pooled
+        over patches first and the window's probability repeated over them.
+        The cache keeps what _head_backward reads."""
+        w = f"head_{name}"
         if granularity == "window":
             feats = feats.mean(axis=0, keepdims=True)                # (1,B,H)
         s = sigmoid(np.einsum("nbh,kh->nbk", feats, self.tensors[w]))  # (n,B,k)
@@ -442,7 +457,7 @@ class CoopModel:
 
         # residual heads, then the residual encoders -> gradient w.r.t. the
         # reconstruction; the first-stage paths add into d_ht/hf_tilde below
-        d_ht_tilde, d_hf_tilde = self._two_heads_backward(0.5 * d_ac, cache["resid"], grads)
+        d_ht_tilde, d_hf_tilde = self._classify_backward(0.5 * d_ac, cache["resid"], grads)
         du_t2, du_f2 = self._encode_backward(cache["enc_r"], -d_ht_tilde, -d_hf_tilde,
                                              grads)
         d_xr = (du_t2 @ t["w_time_patch"]).transpose(1, 0, 2).reshape(B, c.T)
@@ -478,30 +493,10 @@ class CoopModel:
             d_a = d_a + ((t["e_mask"].T[:, None, :] - z) * d_em).sum(axis=-1)
             del z
         del d_em
-        cls = cache["cls"]
-        if c.fusion in ("max", "mean"):
-            d_t, d_f = self._two_heads_backward(d_a, cls, grads)
-            d_ht_tilde += d_t
-            d_hf_tilde += d_f
-            del d_t, d_f
-        else:
-            d_hc = self._head_backward(d_a, cls["head_c"], grads)
-            if c.fusion == "feat_add":
-                d_ht_tilde += d_hc
-                d_hf_tilde += d_hc
-            else:
-                g, cat = cls["g"], cls["cat"]
-                d_ht_tilde += d_hc * g
-                d_hf_tilde += d_hc * (1.0 - g)
-                d_g = d_hc * (cat[..., :c.H] - cat[..., c.H:])  # ht_tilde - hf_tilde
-                d_gpre = d_g * g * (1.0 - g)
-                grads["w_gate"] += np.einsum("nbh,nbj->hj", d_gpre, cat)
-                grads["b_gate"] += d_gpre.sum(axis=(0, 1))
-                d_cat = d_gpre @ t["w_gate"]
-                d_ht_tilde += d_cat[..., :c.H]
-                d_hf_tilde += d_cat[..., c.H:]
-                del d_g, d_gpre, d_cat
-            del d_hc
+        d_t, d_f = self._classify_backward(d_a, cache["cls"], grads)
+        d_ht_tilde += d_t
+        d_hf_tilde += d_f
+        del d_t, d_f
 
         # first-pass encoders
         self._encode_backward(cache["enc"], d_ht_tilde, d_hf_tilde, grads)

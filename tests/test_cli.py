@@ -297,6 +297,26 @@ class TestRunDirChecks:
         assert r.exit_code == 3
         assert name in r.output
 
+    # runs made before step heads became head_time/head_freq with P rows and
+    # feature fusions lost head_freq; every head below was one no forward read
+    @pytest.mark.parametrize("flags, edit, names", [
+        (("--granularity", "step"),
+         lambda t: {**t, "head_step_time": t["head_time"], "head_step_freq": t["head_freq"],
+                    "head_time": t["head_time"][:1], "head_freq": t["head_freq"][:1]},
+         "extra ['head_step_freq', 'head_step_time']"),
+        (("--fusion", "feat_add"), lambda t: {**t, "head_freq": t["head_time"]},
+         "extra ['head_freq']"),
+    ], ids=["step", "feat_add"])
+    def test_run_with_the_old_head_layout(self, dataset, tmp_path, flags, edit, names):
+        run = tmp_path / "run"
+        assert run_cli(train_args(dataset, str(run), flags)).exit_code == 0
+        rewrite_checkpoint(run, lambda block, t: (block, edit(t)))
+        out = tmp_path / "s.csv"
+        r = detect(run, dataset["path"], out)
+        assert r.exit_code == 3
+        assert f"tensor names differ: missing [], {names}" in r.output
+        assert not out.exists()
+
     def test_nan_weight_refuses_to_write_scores(self, dataset, run_dir, tmp_path):
         run = copy_run(run_dir, tmp_path)
 

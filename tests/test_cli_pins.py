@@ -47,12 +47,12 @@ DIGESTS = {
     "p50-hard": ("7afa4ffb003ccee5376229af9e6ed293367a974b9360be15f14086010381828b",
                 "b26090eb2b17b7ba5316e58c7f846267cebf6f593de4f04cf004b1cf83a9458e",
                 "83341fa2b8ea623eef55f50e338b991a462268035cd1ebdc2a9b722d5fb891ed"),
-    "p50-feat_gate": ("52321abef9c0836720648ed447dbc0838cb9f64f675fffd4999f3927f56f05c6",
-                     "2dc718e155fe8deb63078462cccffe3b79ab5a817cce8f54fbabdd70391c507e",
-                     "4d3028bd0a2562d5aff6c3c45b8fceb668ab698fe477d6c14548b5a7516d2bf3"),
-    "p50-step": ("13e5e5553e59477a04c06e07c6dd8ce7b82caf474d7316e683a54caf87b532f5",
-                "3521da1c2c74fcddcf70652bb3cdbf5c01752c7dea31fbad7404c3ac7c9b075d",
-                "8b8c9051653df84c4d64796379c7987c19319372fd69eb7894121171698a19c6"),
+    "p50-feat_gate": ("117ee3a365fc53957b5af07df0b094710db1e5186dafbdceef0cf2c04e8fc260",
+                     "d5ca42e42a689f6e2926302761bc35cf4256f39ea3e73f9d179c7b8d5c92fcb5",
+                     "0f9a704ccc126a5732492bafd64a9f3ed51528a43d0eec155aafe3f0840ab8b4"),
+    "p50-step": ("ccd34fba520aaad7b2649b5f06449c0b2b6113d10f97cc9e573b0c232de23705",
+                "dc4e9be94047af062ea38c05463c31371a06f60bec993068a2b716ed84d15455",
+                "458e851378e167552475161c7ec3032ea81a5b4ccc3415010c503321b182ee5a"),
 }
 
 

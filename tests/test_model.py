@@ -291,8 +291,8 @@ class TestParamsAndPersistence:
     # pin the order in which construction draws its tensors
     @pytest.mark.parametrize("overrides, count, digest", [
         ({}, 44, "25efb5c81657917e985a28cd7139b99e2cfa0ad91961c778d06133573a51a3d5"),
-        ({"fusion": "feat_gate", "granularity": "step"}, 48,
-         "5c3c7dff2723fc1f453baf621660e4ab40544f1c395db73c5aa28480049d6d12"),
+        ({"fusion": "feat_gate", "granularity": "step"}, 45,
+         "87170de0f05fbd2286cda4cc6e65934bad7ea4e34d3e8b1ec33ff8f16df9e276"),
     ], ids=["default", "feat_gate_step"])
     def test_initial_tensors_golden(self, overrides, count, digest):
         m = CoopModel(CoopConfig.for_period(50, **overrides), seed=0)
@@ -533,3 +533,21 @@ class TestAblationGradients:
         rep = grad_check(lambda: run()[0].total, model.tensors, grads, h=1e-5)
         worst = max(rep, key=rep.get)
         assert rep[worst] < 1e-3, f"{worst}: max rel err {rep[worst]:.3e}"
+
+
+class TestEveryWeightIsRead:
+    @pytest.mark.parametrize("granularity", GRANULARITIES)
+    @pytest.mark.parametrize("fusion", FUSIONS)
+    def test_every_tensor_gets_a_gradient(self, granularity, fusion):
+        # a weight no forward reads would keep an all-zero gradient for good
+        model = small_model(granularity=granularity, fusion=fusion)
+        c = model.config
+        rng = np.random.default_rng(0)
+        x_clean = rng.normal(size=(4, c.T))
+        x_dist = x_clean + rng.normal(0, 0.3, size=(4, c.T))
+        labels = (rng.random((4, c.N)) < 0.5).astype(np.int8)
+        _, grads = loss_and_grads(model, x_dist, x_clean, labels)
+        assert [k for k, g in grads.items() if not g.any()] == []
+        assert ("head_freq" in model.tensors) == (fusion in ("max", "mean"))
+        rows = c.P if granularity == "step" else 1
+        assert model.tensors["head_time"].shape == (rows, c.H)

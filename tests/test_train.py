@@ -258,17 +258,17 @@ STEP_DIGESTS = {
     ("grating", 500, 16):
         "2a765bad68074f245a30c58bd67af51ccc48927e55ac44b3b6f4db4b2f478f51",
     ("mean-step", 37, 1):
-        "2e65d63085f1294d85d2dfa3ef079692108ee67a9e0b6ec345cfaec7070ae849",
+        "0eea95c694e0f10a13e9a2770c36d0b6334452246a08547ea699337a4a80c823",
     ("mean-step", 37, 16):
-        "b16ec7eb7a822efeec8b84587b11fbc122e7893924324b3e9aa31236aad3fa98",
+        "67ce1b4f778a74b03a5cfd09379e09a9c4f98d1df43dad675f6e03aeadeeaa76",
     ("mean-step", 50, 1):
-        "46fd625000be453b5a3422c5e3f14843fdbc9a900b94f43f72c45c9a124b274c",
+        "02509ee5066602f22a0e140db94932a0cb209c1299540337247cc502cb6b1d4c",
     ("mean-step", 50, 16):
-        "d4342ab479debc447ca5854afd4bfe06cdcc0d026d2323bb86936941ac7e9e3f",
+        "6c21855b38d71088ee58ac242140881659d4c9ae62ac5e1e2ee023940a3c423f",
     ("mean-step", 500, 1):
-        "4357d4f000fbdc42ccfa7afba8ae4911f6b8dc7c4ebf78d94d7a9007c54d9603",
+        "520191a9c3231d0a32e0948e3d592ea23a249f13e08649063e749263ca87077b",
     ("mean-step", 500, 16):
-        "490730c1283d0bf99312a93cb9cbb1de1c92d49699c0be4e9a4b4b541495f463",
+        "c0e9caa3ed1981f9729d16350d36e442a107b9e8a7604e48360b461eee51e025",
 }
 
 

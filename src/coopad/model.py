@@ -402,13 +402,12 @@ class CoopModel:
         d_c = self._head_backward(d_a, cache["head_t"], grads)
         if fusion == "feat_add":
             return d_c, d_c
-        t = self.tensors
         g, cat = cache["g"], cache["cat"]
         h = self.config.H
         d_gpre = d_c * (cat[..., :h] - cat[..., h:]) * g * (1.0 - g)  # f_t - f_f
         grads["w_gate"] += np.einsum("nbh,nbj->hj", d_gpre, cat)
         grads["b_gate"] += d_gpre.sum(axis=(0, 1))
-        d_cat = d_gpre @ t["w_gate"]
+        d_cat = d_gpre @ self.tensors["w_gate"]
         return d_c * g + d_cat[..., :h], d_c * (1.0 - g) + d_cat[..., h:]
 
     def _head(self, feats, name, granularity):
